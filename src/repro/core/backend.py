@@ -43,7 +43,7 @@ pins both gates for every importable backend; any future backend must
 pass it.
 
 The host/device boundary is deliberate: mmap'd L2 segments, CRC
-framing, the tail index JSON, eviction bookkeeping and result
+framing, the index JSON, eviction bookkeeping and result
 materialization all stay host-side; only contiguous gathered stacks
 cross to the device (see ``docs/architecture.md``).
 """

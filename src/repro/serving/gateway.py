@@ -12,9 +12,10 @@ A :class:`Gateway` owns
   appends to that directory.  Workers return fresh certified solves
   alongside their responses as exact packed record bytes; a dedicated
   writer thread appends them, dedupes by region signature, and
-  publishes a new tail index (epoch bump) via the store's atomic
+  publishes a new index watermark (epoch bump) via the store's atomic
   tmp+``os.replace`` rename.  Readers notice the bump on their next
-  miss (one ``stat``) and refresh without dropping in-flight scans;
+  miss (one ``stat``) and catch up by scanning only the records
+  appended since, without dropping in-flight scans;
 * **a hand-rolled HTTP/1.1 front end** on stdlib ``asyncio`` streams —
   no new runtime dependencies — speaking JSON:
   ``POST /interpret``, ``GET /stats``, ``GET /healthz``,

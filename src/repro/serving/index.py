@@ -34,8 +34,9 @@ argument already carries.)
 
 **Determinism.**  The bank is derived from the fixed :data:`INDEX_SEED`
 per ``(d, bits)`` shape, so every process, shard, tier and recovery scan
-assigns the same entry the same bucket code — the L2 tier can persist
-anchors alongside its tail index and rebuild identical buckets on open.
+assigns the same entry the same bucket code — the L2 tier reads the
+anchors out of its record payloads and rebuilds identical buckets on
+open.
 """
 
 from __future__ import annotations

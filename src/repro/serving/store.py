@@ -14,14 +14,19 @@ This module lifts that cap with a second tier:
   :class:`~repro.serving.shard.ShardedRegionCache` — packed stacks,
   one-matmul membership scans, per-shard locks.
 * **L2** (:class:`SegmentStore`) is an append-only, memory-mapped
-  on-disk segment store: each record is a self-describing packed
-  ``(D, B)`` region (CRC-framed, so a torn tail from a crash mid-append
-  is detected and ignored), and a *tail index* keyed by
-  :func:`~repro.serving.shard.region_signature` maps every live region
-  to its segment offset.  Crash safety is append-then-fsync for record
-  data plus atomic (write-temp-then-``os.replace``) rename for the
-  index; a crash between the two is recovered by scanning each segment
-  from its indexed tail.
+  on-disk segment store.  The segments *are* the log: each record is a
+  self-describing packed ``(D, B)`` region, CRC-framed (so a torn tail
+  from a crash mid-append is detected and ignored) and carrying its
+  :func:`~repro.serving.shard.region_signature` in the frame header.
+  By Theorem 2 a record never changes after its fsync, so the published
+  ``index.json`` holds no per-record rows — only a *watermark* (publish
+  epoch, segment list, per-segment published tails, the recency
+  counter) plus the positions of dead records (*tombstones*).  Opening
+  scans the segments and adopts every whole frame not tombstoned; a
+  reader catching up to a new publish scans only the bytes appended
+  since its last catch-up.  Crash safety is append-then-fsync for
+  record data plus atomic (write-temp-then-``os.replace``) rename for
+  the index; a publish costs the same at ten or ten thousand records.
 
 :class:`TieredRegionStore` composes the tiers: eviction from L1
 **demotes** the region to L2 instead of dropping it (via the cache's
@@ -57,6 +62,7 @@ import threading
 import zlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,26 +102,33 @@ __all__ = [
 #: truncated) at the first frame whose magic or CRC does not check out.
 RECORD_MAGIC: bytes = b"RGS1"
 
-#: On-disk index format version (the index is rebuildable from the
-#: segments, so a version bump only costs a full recovery scan).
-INDEX_VERSION: int = 1
+#: On-disk index format version.  Version 2 is the watermark plus
+#: tombstones; a version-1 index (one row per record) still opens — its
+#: dead rows become tombstones and a writer republishes it as version 2.
+#: The segments alone rebuild every record, so a lost index only
+#: revives retired regions (still exact, by Theorem 2).
+INDEX_VERSION: int = 2
 
 #: Default dead-byte ratio that triggers segment compaction.
 DEFAULT_COMPACT_RATIO: float = 0.5
 
 #: Record frame header: magic, payload length, CRC-32 of the payload,
-#: region signature.  The signature is duplicated outside the payload so
-#: a recovery scan can rebuild the tail index without parsing payloads.
+#: region signature.  The signature sits outside the payload so the
+#: open scan keys a record without unpacking its float arrays.
 _HEADER = struct.Struct("<4sIIQ")
+
+#: The ``[target, P, d]`` int64 meta that opens every payload.
+_META = struct.Struct("<3q")
 
 _INDEX_NAME = "index.json"
 _SEGMENT_FMT = "segment-{:05d}.seg"
 _WRITER_LOCK_NAME = "writer.lock"
 
 
-@dataclass
+@dataclass(slots=True)
 class _L2Record:
-    """One record's tail-index row (everything but the float payload)."""
+    """One adopted record, in memory only (everything but the float
+    payload, which stays in the mmap'd segment)."""
 
     signature: int
     target_class: int
@@ -126,22 +139,30 @@ class _L2Record:
     frame_len: int        # header + payload bytes
     live: bool
     touch: int            # recency counter (stalest live dies first)
-    #: The region's anchor instance (the x0 of the demoted entry).
-    #: Persisted in the tail index so the sign index rebuilds without
-    #: touching the segment payloads; lazily re-read from the payload
-    #: for rows written before the field existed.
-    anchor: np.ndarray | None = None
+    #: The region's anchor instance (the payload's x0), which the sign
+    #: index buckets.
+    anchor: np.ndarray
+
+
+class _Watermark(NamedTuple):
+    """A parsed ``index.json``: everything a publish carries."""
+
+    epoch: int
+    segments: list[str]
+    next_touch: int
+    tombstones: set[tuple[int, int]]
 
 
 def _payload_layout(P: int, d: int) -> dict[str, int]:
     """Byte offsets of every field inside one packed record payload.
 
     The single source of truth shared by :func:`_unpack_payload` (full
-    record reads) and :meth:`SegmentStore.scan` (partial ``W``/``b``/
-    ``x0`` gathers), so a framing change cannot desync the scan from
-    read/recovery.  Layout (little-endian, after the 24-byte int64
-    ``[target, P, d]`` meta): pairs ``(P, 2)`` int64, then float64
-    ``W (P, d)``, ``b (P,)``, ``x0 (d,)``, ``feats (d,)``, scalar edge.
+    record reads), the open scan (``pairs``/``x0`` only) and
+    :meth:`SegmentStore.scan` (partial ``W``/``b``/``x0`` gathers), so a
+    framing change cannot desync the scan from read/recovery.  Layout
+    (little-endian, after the 24-byte int64 ``[target, P, d]`` meta):
+    pairs ``(P, 2)`` int64, then float64 ``W (P, d)``, ``b (P,)``,
+    ``x0 (d,)``, ``feats (d,)``, scalar edge.
     """
     pairs_off = 24
     w_off = pairs_off + 16 * P
@@ -233,34 +254,36 @@ class SegmentStore:
         Dead-byte fraction of total segment bytes that triggers
         compaction; must lie in ``(0, 1)``.
     fsync:
-        Fsync every appended record (the durability contract; the tail
-        index is a checkpoint, not the source of truth — see
-        :meth:`append`).  Tests and bulk loads may disable it for
+        Fsync every appended record (the durability contract; the
+        segments are the source of truth and the index only a watermark
+        — see :meth:`append`).  Tests and bulk loads may disable it for
         speed and :meth:`sync` once at the end.
     region_index:
         Keep a per-(class, pair-set) hyperplane-sign index over the live
         records' anchors and membership-check its shortlist before the
         full gather+matmul in :meth:`scan` (falling back on a shortlist
-        miss, so hit/miss behavior is unchanged).  Anchors persist in
-        the tail index and the sign buckets are rebuilt deterministically
-        on open, so crash safety is untouched.
+        miss, so hit/miss behavior is unchanged).  Anchors are read from
+        the payloads by the open scan and the sign buckets are rebuilt
+        deterministically, so crash safety is untouched.
     index_bits, index_shortlist:
         Sign-code width / shortlist size, as :class:`RegionSignIndex`.
     backend:
         The :class:`~repro.core.backend.ArrayBackend` (or its name)
         running the gathered-stack membership matmuls; ``None`` resolves
-        the process default.  The mmap'd segments, CRC framing, tail
+        the process default.  The mmap'd segments, CRC framing, the
         index JSON and compaction all stay host-side — only the gathered
         per-scan stacks cross the seam.
     read_only:
         Open a *reader* view onto a directory another process writes:
-        the published tail index is loaded as-is (a torn tail or
-        not-yet-indexed append from the live writer is ignored, never
-        truncated; orphan segments are left for the writer to reap) and
-        every mutator raises.  Readers follow the writer through
-        :meth:`maybe_refresh`, which reloads state only when the index
-        file's identity changed — the single-writer / multi-reader
-        discipline of the multi-process gateway.
+        the published segment list and tombstones are loaded and every
+        whole record in the listed segments is adopted, including
+        appends the live writer has fsynced but not yet published.  A
+        torn or in-flight trailing frame is skipped, never truncated;
+        orphan segments are left for the writer to reap; every mutator
+        raises.  Readers follow the writer through :meth:`maybe_refresh`,
+        which catches up only when the index file's identity changed —
+        the single-writer / multi-reader discipline of the multi-process
+        gateway.
     exclusive:
         Take an OS-level advisory lock (``flock``) on the directory's
         ``writer.lock`` before opening, and fail fast if another
@@ -322,8 +345,14 @@ class SegmentStore:
         self.index_shortlist = int(index_shortlist)
         self.backend = resolve_backend(backend)
         self._segments: list[str] = []
-        self._records: list[_L2Record] = []     # append order
+        # Per segment: end of its adopted prefix (the byte offset the
+        # next catch-up scan starts from; the published ``tails``).
+        self._tails: list[int] = []
+        # Every adopted record, live or dead, by (seg, offset) position.
+        self._by_pos: dict[tuple[int, int], _L2Record] = {}
         self._by_sig: dict[int, _L2Record] = {}  # live records only
+        # Positions of dead records — the index's tombstones.
+        self._tombstones: set[tuple[int, int]] = set()
         # Live records grouped by (target class, pair set) — maintained
         # incrementally on adopt/mark_dead/compact/wipe so scan never
         # rebuilds the grouping per miss.
@@ -387,64 +416,34 @@ class SegmentStore:
             )
 
     def _open(self) -> None:
-        """Load the tail index, recover unindexed appends, drop orphans.
+        """Adopt every record from the segments; drop orphan segments.
 
-        Recovery covers the two crash windows:
+        The published index names the segments and the tombstones; the
+        records come from scanning the segments themselves, each whole
+        frame adopted as live unless a tombstone marks its position.
+        The scan covers the two crash windows:
 
         * crash *during* an append → the torn frame fails its CRC/length
           check and the segment is truncated back to its last whole
           record (the write was never acknowledged);
         * crash *after* the fsync but before the index rename → the
-          record is intact past the indexed tail and is re-adopted by
-          the tail scan.
+          record is intact past the published tail and is adopted like
+          any other.
 
         Segment files present on disk but absent from the index are
         leftovers of an interrupted compaction; they are deleted (the
         index, being renamed atomically, is always a consistent view).
         """
-        index_path = self._seg_path(_INDEX_NAME)
         # Stat before reading: if the writer republishes in between, the
         # cached stat differs from the file on disk and the next
-        # maybe_refresh() reloads — the reader converges, never wedges.
+        # maybe_refresh() catches up — the reader converges, never wedges.
         self._index_stat = self._stat_index()
-        tails: list[int] = []
-        if index_path.exists():
-            try:
-                payload = json.loads(index_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ValidationError(
-                    f"cannot read L2 index {index_path}: {exc}"
-                ) from exc
-            if payload.get("version") != INDEX_VERSION:
-                raise ValidationError(
-                    f"unsupported L2 index version {payload.get('version')} "
-                    f"(this build reads {INDEX_VERSION})"
-                )
-            self._segments = list(payload["segments"])
-            tails = [int(t) for t in payload["tails"]]
-            self._touch = int(payload["next_touch"])
-            # Indexes written before the epoch existed read as epoch 0.
-            self._epoch = int(payload.get("epoch", 0))
-            for row in payload["records"]:
-                # Rows written before the anchor field have 9 elements.
-                (sig, target, pairs, d, seg, offset, frame_len, live,
-                 touch) = row[:9]
-                anchor = row[9] if len(row) > 9 else None
-                record = _L2Record(
-                    signature=int(sig),
-                    target_class=int(target),
-                    pairs=tuple((int(c), int(cp)) for c, cp in pairs),
-                    d=int(d),
-                    seg=int(seg),
-                    offset=int(offset),
-                    frame_len=int(frame_len),
-                    live=bool(live),
-                    touch=int(touch),
-                    anchor=(
-                        as_float64(anchor) if anchor is not None else None
-                    ),
-                )
-                self._adopt(record)
+        watermark = self._read_index()
+        if watermark is not None:
+            self._segments = watermark.segments
+            self._tombstones = watermark.tombstones
+            self._epoch = watermark.epoch
+            next_touch = watermark.next_touch
         else:
             # No index: a fresh directory, or a crash before the very
             # first index write — scan whatever segments exist, oldest
@@ -452,45 +451,93 @@ class SegmentStore:
             self._segments = sorted(
                 p.name for p in self.directory.glob("segment-*.seg")
             )
-            tails = [0] * len(self._segments)
+            next_touch = 0
+        self._tails = [0] * len(self._segments)
         if not self.read_only:
             # Orphan segments (interrupted compaction) are the writer's
             # to reap — a reader racing a live compaction must not
             # delete the segment the writer is about to publish.
-            known = set(self._segments) | {_INDEX_NAME}
+            known = set(self._segments)
             for path in self.directory.glob("segment-*.seg"):
                 if path.name not in known:
                     path.unlink()
         self._seg_counter = 1 + max(
             (int(name[8:13]) for name in self._segments), default=-1
         )
-        for seg, name in enumerate(self._segments):
-            self._recover_tail(seg, tails[seg] if seg < len(tails) else 0)
+        for seg in range(len(self._segments)):
+            self._recover_tail(seg)
+        self._touch = max(self._touch, next_touch)
         if not self.read_only:
             self._persist_index()
 
-    def _adopt(self, record: _L2Record) -> None:
-        """Install one index row into the in-memory maps and meters."""
-        self._records.append(record)
-        self._dim = record.d
-        max_class = max(
-            (max(c, cp) for c, cp in record.pairs), default=-1
+    def _read_index(self) -> _Watermark | None:
+        """Parse the published index (``None`` when there is none yet).
+
+        A version-1 index carries one row per record; only its dead
+        rows' positions are kept, as tombstones — the scan rebuilds the
+        rest from the segments.
+        """
+        index_path = self._seg_path(_INDEX_NAME)
+        try:
+            payload = json.loads(index_path.read_text())
+        except FileNotFoundError:
+            return None
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValidationError(
+                f"cannot read L2 index {index_path}: {exc}"
+            ) from exc
+        version = payload.get("version")
+        if version == INDEX_VERSION:
+            tombstones = {(int(s), int(o)) for s, o in payload["tombstones"]}
+        elif version == 1:
+            # Row: [sig, target, pairs, d, seg, offset, frame_len, live,
+            # touch(, anchor)].
+            tombstones = {
+                (int(row[4]), int(row[5]))
+                for row in payload["records"] if not row[7]
+            }
+        else:
+            raise ValidationError(
+                f"unsupported L2 index version {version} "
+                f"(this build reads 1 and {INDEX_VERSION})"
+            )
+        return _Watermark(
+            # Indexes written before the epoch existed read as epoch 0.
+            epoch=int(payload.get("epoch", 0)),
+            segments=list(payload["segments"]),
+            next_touch=int(payload["next_touch"]),
+            tombstones=tombstones,
         )
-        self._min_classes = max(self._min_classes or 0, max_class + 1)
+
+    def _adopt(self, record: _L2Record) -> None:
+        """Install one record into the in-memory maps and meters."""
+        self._by_pos[(record.seg, record.offset)] = record
+        end = record.offset + record.frame_len
+        if end > self._tails[record.seg]:
+            self._tails[record.seg] = end
+        self._dim = record.d
+        n_classes = 1 + max(map(max, record.pairs), default=-1)
+        if self._min_classes is None or n_classes > self._min_classes:
+            self._min_classes = n_classes
         if record.live:
             # Later records win: a signature demoted again after its
             # earlier record was marked dead supersedes it.
             prior = self._by_sig.get(record.signature)
             if prior is not None:
-                prior.live = False
-                self._live_bytes -= prior.frame_len
-                self._dead_bytes += prior.frame_len
-                self._ungroup(prior)
+                self._retire(prior)
             self._by_sig[record.signature] = record
             self._live_bytes += record.frame_len
             self._group(record)
         else:
             self._dead_bytes += record.frame_len
+
+    def _retire(self, record: _L2Record) -> None:
+        """Turn one live record dead in the maps and meters."""
+        record.live = False
+        del self._by_sig[record.signature]
+        self._live_bytes -= record.frame_len
+        self._dead_bytes += record.frame_len
+        self._ungroup(record)
 
     def _group(self, record: _L2Record) -> None:
         """Add a live record to its (class, pair-set) group + sign index."""
@@ -503,7 +550,7 @@ class SegmentStore:
                     record.d, bits=self.index_bits, backend=self.backend
                 )
                 self._group_indexes[key] = index
-            index.add(record.signature, self._anchor_of(record))
+            index.add(record.signature, record.anchor)
 
     def _ungroup(self, record: _L2Record) -> None:
         """Remove a no-longer-live record from its group + sign index."""
@@ -519,100 +566,80 @@ class SegmentStore:
             if not len(index):
                 del self._group_indexes[key]
 
-    def _anchor_of(self, record: _L2Record) -> np.ndarray:
-        """The record's anchor, lazily re-read from the mmap'd payload
-        for index rows written before the anchor field existed."""
-        if record.anchor is None:
-            layout = _payload_layout(len(record.pairs), record.d)
-            record.anchor = np.frombuffer(
-                self._view(record), dtype="<f8", count=record.d,
-                offset=layout["x0"],
-            ).copy()
-        return record.anchor
+    def _recover_tail(self, seg: int) -> None:
+        """Adopt every whole record past the segment's adopted prefix.
 
-    def _recover_tail(self, seg: int, indexed_tail: int) -> None:
-        """Scan one segment past its indexed tail; truncate a torn frame."""
-        path = self._seg_path(self._segments[seg])
-        size = path.stat().st_size if path.exists() else 0
-        if size <= indexed_tail:
+        Reads only each frame's header and the payload's meta, pairs
+        and x0 (the CRC covers the rest without unpacking it).  A torn
+        trailing frame is truncated by a writer; a reader stops before
+        it and resumes there on its next catch-up.
+        """
+        start = self._tails[seg]
+        try:
+            with open(self._seg_path(self._segments[seg]), "rb") as handle:
+                handle.seek(start)
+                data = handle.read()
+        except FileNotFoundError:
+            # Unlinked by a compaction racing this reader; the next
+            # publish lists the new segment and triggers a full refresh.
             return
-        with open(path, "rb") as handle:
-            handle.seek(indexed_tail)
-            data = handle.read()
+        view = memoryview(data)
         offset = 0
-        good_end = 0
         while offset + _HEADER.size <= len(data):
             magic, payload_len, crc, sig = _HEADER.unpack_from(data, offset)
-            end = offset + _HEADER.size + payload_len
-            if magic != RECORD_MAGIC or end > len(data):
+            body = offset + _HEADER.size
+            end = body + payload_len
+            if (
+                magic != RECORD_MAGIC
+                or end > len(data)
+                or zlib.crc32(view[body:end]) != crc
+            ):
                 break
-            payload = data[offset + _HEADER.size:end]
-            if zlib.crc32(payload) != crc:
-                break
-            target, pairs, W, _b, x0, *_ = _unpack_payload(payload)
+            target, P, d = _META.unpack_from(data, body)
+            layout = _payload_layout(P, d)
+            flat = struct.unpack_from(
+                f"<{2 * P}q", data, body + layout["pairs"]
+            )
             self._adopt(
                 _L2Record(
-                    signature=int(sig),
+                    signature=sig,
                     target_class=target,
-                    pairs=pairs,
-                    d=W.shape[1],
+                    pairs=tuple(zip(flat[0::2], flat[1::2])),
+                    d=d,
                     seg=seg,
-                    offset=indexed_tail + offset,
+                    offset=start + offset,
                     frame_len=end - offset,
-                    live=True,
+                    live=(seg, start + offset) not in self._tombstones,
                     touch=self._next_touch(),
-                    anchor=x0,
+                    anchor=np.frombuffer(
+                        data, dtype="<f8", count=d, offset=body + layout["x0"]
+                    ).copy(),
                 )
             )
-            offset = good_end = end
+            offset = end
         # A torn (or writer-in-flight) trailing frame: the writer owns
         # truncation; a reader simply stops at the last whole record.
-        if not self.read_only and indexed_tail + good_end < size:
-            with open(path, "r+b") as handle:
-                handle.truncate(indexed_tail + good_end)
+        if not self.read_only and offset < len(data):
+            with open(self._seg_path(self._segments[seg]), "r+b") as handle:
+                handle.truncate(start + offset)
 
     def persist_index(self) -> None:
-        """Atomically replace the tail index with the current state."""
+        """Atomically publish the watermark and tombstones."""
         self._require_writable("persist_index")
         self._persist_index()
 
     def _persist_index(self) -> None:
         # Every publish bumps the epoch: readers compare epochs (and the
         # index file's stat identity) to detect that the writer moved.
+        # No per-record rows: the cost is O(tombstones), not O(records).
         self._epoch += 1
-        tails = [0] * len(self._segments)
-        rows = []
-        for record in self._records:
-            rows.append(
-                [
-                    record.signature,
-                    record.target_class,
-                    [list(p) for p in record.pairs],
-                    record.d,
-                    record.seg,
-                    record.offset,
-                    record.frame_len,
-                    record.live,
-                    record.touch,
-                    # json round-trips float64 exactly (repr shortest),
-                    # so persisted anchors rebuild identical sign codes.
-                    (
-                        record.anchor.tolist()
-                        if record.anchor is not None
-                        else None
-                    ),
-                ]
-            )
-            tails[record.seg] = max(
-                tails[record.seg], record.offset + record.frame_len
-            )
         payload = {
             "version": INDEX_VERSION,
             "epoch": self._epoch,
             "segments": self._segments,
-            "tails": tails,
+            "tails": self._tails,
             "next_touch": self._touch,
-            "records": rows,
+            "tombstones": sorted(self._tombstones),
         }
         tmp = self._seg_path(_INDEX_NAME + ".tmp")
         with open(tmp, "w") as handle:
@@ -643,40 +670,64 @@ class SegmentStore:
             return None
         return (st.st_ino, st.st_mtime_ns, st.st_size)
 
-    def refresh(self) -> None:
-        """Drop the in-memory view and reload the published index.
-
-        The reader-side counterpart of the writer's atomic index
-        publish: mmaps are closed (in-flight reads already materialized
-        their bytes), every map and meter is rebuilt from the index on
-        disk, and fsynced-but-unindexed appends are re-adopted by the
-        tail scan exactly as a writer restart would.
-        """
+    def _reset_view(self) -> None:
+        """Forget every adopted record (segments, maps, meters, mmaps)."""
         for mm in self._mmaps.values():
             mm.close()
         self._mmaps.clear()
         self._segments = []
-        self._records = []
+        self._tails = []
+        self._by_pos = {}
         self._by_sig = {}
+        self._tombstones = set()
         self._live_groups = {}
         self._group_indexes = {}
-        self._touch = 0
         self._live_bytes = 0
         self._dead_bytes = 0
         self._dim = None
         self._min_classes = None
+
+    def refresh(self) -> None:
+        """Drop the in-memory view and reopen from the directory.
+
+        Mmaps are closed (in-flight reads already materialized their
+        bytes) and every map and meter is rebuilt by a full open scan,
+        exactly as a writer restart would.  :meth:`maybe_refresh` falls
+        back to this only when the segment list changed (compaction or
+        wipe).
+        """
+        self._reset_view()
+        self._touch = 0
         self._epoch = 0
         self._open()
 
     def maybe_refresh(self) -> bool:
-        """Reload only if the writer published since the last load.
+        """Catch up only if the writer published since the last load.
 
-        Cheap enough for a lookup path — one ``stat`` when idle — and
-        returns whether a reload happened.
+        One ``stat`` when idle.  When the index identity changed and its
+        segment list is the one already adopted, the catch-up is
+        incremental — each segment is scanned from its adopted tail and
+        the new tombstones are applied — so it costs O(new records).  A
+        changed segment list falls back to :meth:`refresh`.  Returns
+        whether anything was (re)loaded.
         """
-        if self._stat_index() == self._index_stat:
+        stat = self._stat_index()
+        if stat == self._index_stat:
             return False
-        self.refresh()
+        watermark = self._read_index()
+        if watermark is None or watermark.segments != self._segments:
+            self.refresh()
+            return True
+        self._index_stat = stat
+        self._epoch = watermark.epoch
+        fresh = watermark.tombstones - self._tombstones
+        self._tombstones = watermark.tombstones
+        for position in fresh:
+            record = self._by_pos.get(position)
+            if record is not None and record.live:
+                self._retire(record)
+        for seg in range(len(self._segments)):
+            self._recover_tail(seg)
         return True
 
     # ------------------------------------------------------------------ #
@@ -689,6 +740,7 @@ class SegmentStore:
     def _current_segment(self) -> int:
         if not self._segments:
             self._segments.append(_SEGMENT_FMT.format(self._seg_counter))
+            self._tails.append(0)
             self._seg_counter += 1
             # Register the segment (tail 0) in the index *before* any
             # record lands in it: recovery distinguishes compaction
@@ -714,14 +766,13 @@ class SegmentStore:
         """Persist one region; returns ``False`` if it is already live.
 
         The record bytes are flushed (and fsynced when enabled); the
-        tail index is deliberately *not* rewritten here — it is a
-        checkpoint, refreshed at compaction, :meth:`sync` and
-        :meth:`close`, and the recovery scan re-adopts any fsynced
-        record past the indexed tail.  A crash at any point therefore
-        leaves a loadable store (a torn frame is truncated away), and
-        the append hot path — which runs under an L1 shard lock when
-        demotions drive it — costs one write + one fsync, never an
-        O(records) index dump.
+        index is deliberately *not* rewritten here.  The segment is the
+        source of truth: any open, and any reader catching up to a later
+        publish, adopts every whole frame it finds.  A crash at any
+        point therefore leaves a loadable store (a torn frame is
+        truncated away), and the append hot path — which runs under an
+        L1 shard lock when demotions drive it — costs one write + one
+        fsync.
         """
         self._require_writable("append")
         if signature in self._by_sig:
@@ -751,16 +802,13 @@ class SegmentStore:
             anchor=np.ascontiguousarray(x0, dtype=np.float64),
         )
         self._adopt(record)
-        stale = self._mmaps.pop(seg, None)  # mapping stale past its size
-        if stale is not None:
-            stale.close()
         self._enforce_budget()
         self._maybe_compact()
         return True
 
     def sync(self) -> None:
-        """Force every segment to stable storage and checkpoint the tail
-        index — the bulk-append counterpart of per-append fsync (used by
+        """Force every segment to stable storage and publish the index —
+        the bulk-append counterpart of per-append fsync (used by
         :meth:`TieredRegionStore.load`, which disables ``fsync`` for the
         duration of a bootstrap and syncs once at the end)."""
         self._require_writable("sync")
@@ -773,7 +821,8 @@ class SegmentStore:
 
     def touch(self, signature: int) -> None:
         """Refresh a live record's recency (promotions renew the lease).
-        A no-op on read-only stores — recency is writer-side state."""
+        A no-op on read-only stores — recency is writer-side state, and
+        in-memory only: an open ranks records by their log order."""
         if self.read_only:
             return
         record = self._by_sig.get(signature)
@@ -781,15 +830,14 @@ class SegmentStore:
             record.touch = self._next_touch()
 
     def mark_dead(self, signature: int) -> bool:
-        """Retire a live record (its bytes are reclaimed at compaction)."""
+        """Retire a live record (its bytes are reclaimed at compaction;
+        its position is a tombstone in the next published index)."""
         self._require_writable("mark_dead")
-        record = self._by_sig.pop(signature, None)
+        record = self._by_sig.get(signature)
         if record is None:
             return False
-        record.live = False
-        self._live_bytes -= record.frame_len
-        self._dead_bytes += record.frame_len
-        self._ungroup(record)
+        self._retire(record)
+        self._tombstones.add((record.seg, record.offset))
         return True
 
     def _enforce_budget(self) -> None:
@@ -810,18 +858,22 @@ class SegmentStore:
     # Reading and scanning
     # ------------------------------------------------------------------ #
     def _view(self, record: _L2Record) -> memoryview:
-        """A zero-copy view of one record's payload in its mmap'd segment."""
+        """A zero-copy view of one record's payload in its mmap'd segment.
+
+        A mapping shorter than the record (its file grew since it was
+        mapped) is replaced.  ``len(mm)`` is the mapped length;
+        ``mm.size()`` would be the file's current size.  The old mapping
+        is not closed here: a caller may still hold a view of it, and
+        it unmaps itself once the last view is gone.
+        """
         mm = self._mmaps.get(record.seg)
         end = record.offset + record.frame_len
-        if mm is None or mm.size() < end:
+        if mm is None or len(mm) < end:
             path = self._seg_path(self._segments[record.seg])
             with open(path, "rb") as handle:
                 mm = mmap.mmap(
                     handle.fileno(), 0, access=mmap.ACCESS_READ
                 )
-            old = self._mmaps.get(record.seg)
-            if old is not None:
-                old.close()
             self._mmaps[record.seg] = mm
         return memoryview(mm)[record.offset + _HEADER.size:end]
 
@@ -1006,14 +1058,11 @@ class SegmentStore:
             if self.fsync:
                 os.fsync(handle.fileno())
         old_segments = list(self._segments)
-        for mm in self._mmaps.values():
-            mm.close()
-        self._mmaps.clear()
+        self._reset_view()
         self._segments = [new_name]
-        self._records = rewritten
-        self._by_sig = {r.signature: r for r in rewritten}
-        self._rebuild_groups()
-        self._dead_bytes = 0
+        self._tails = [0]
+        for record in rewritten:
+            self._adopt(record)
         self._n_compactions += 1
         self._persist_index()
         for name in old_segments:
@@ -1023,32 +1072,13 @@ class SegmentStore:
         # continues into the compacted segment.
         return reclaimed
 
-    def _rebuild_groups(self) -> None:
-        """Re-derive the live grouping (and sign indexes) from
-        ``_by_sig`` — only after wholesale rewrites (compaction); the
-        steady state maintains both incrementally."""
-        self._live_groups = {}
-        self._group_indexes = {}
-        for record in self._by_sig.values():
-            self._group(record)
-
     def wipe(self) -> None:
         """Delete every record and segment (the index becomes empty)."""
         self._require_writable("wipe")
-        for mm in self._mmaps.values():
-            mm.close()
-        self._mmaps.clear()
-        for name in self._segments:
+        old_segments = list(self._segments)
+        self._reset_view()
+        for name in old_segments:
             self._seg_path(name).unlink(missing_ok=True)
-        self._segments = []
-        self._records = []
-        self._by_sig = {}
-        self._live_groups = {}
-        self._group_indexes = {}
-        self._live_bytes = 0
-        self._dead_bytes = 0
-        self._dim = None
-        self._min_classes = None
         self._persist_index()
 
     def close(self) -> None:
@@ -1110,7 +1140,7 @@ class SegmentStore:
     def max_record_bytes(self) -> int:
         """The largest record frame resident (0 when empty); the slack
         term of the disk-growth bound the churn benchmark gates."""
-        return max((r.frame_len for r in self._records), default=0)
+        return max((r.frame_len for r in self._by_pos.values()), default=0)
 
 
 @dataclass(frozen=True)

@@ -387,9 +387,9 @@ class TestL2SegmentStore:
         reopened.close()
 
     def test_legacy_index_rows_without_anchor(self, tmp_path):
-        """Index rows written before the anchor field (9 elements) must
-        still open; anchors are lazily re-read from the mmap'd payload
-        and the rebuilt sign index is identical."""
+        """A version-1 index whose rows predate the anchor field (9
+        elements) must still open; anchors come from the payloads and
+        the rebuilt sign index is identical."""
         rng = np.random.default_rng(34)
         store = SegmentStore(
             tmp_path / "s", fsync=False, region_index=True
@@ -402,11 +402,19 @@ class TestL2SegmentStore:
             key: dict(index._code_of)
             for key, index in store._group_indexes.items()
         }
+        rows = [
+            [sig, r.target_class, [list(p) for p in r.pairs], r.d, r.seg,
+             r.offset, r.frame_len, True, r.touch]
+            for sig, r in store._by_sig.items()
+        ]
         store.close()
         index_path = tmp_path / "s" / "index.json"
         payload = json.loads(index_path.read_text())
-        payload["records"] = [row[:9] for row in payload["records"]]
-        index_path.write_text(json.dumps(payload))
+        index_path.write_text(json.dumps({
+            "version": 1, "epoch": payload["epoch"],
+            "segments": payload["segments"], "tails": payload["tails"],
+            "next_touch": payload["next_touch"], "records": rows,
+        }))
         reopened = SegmentStore(
             tmp_path / "s", fsync=False, region_index=True
         )

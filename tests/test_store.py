@@ -18,10 +18,14 @@ Covers the store module's three contracts:
 
 from __future__ import annotations
 
+import json
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import PredictionAPI
 from repro.core import CoreParameterEstimate, Interpretation
@@ -725,3 +729,202 @@ class TestL2ReaderCacheTier:
         plain.close()
         indexed.close()
         writer.close()
+
+
+# --------------------------------------------------------------------- #
+# The watermark index: segments are the log, index.json only a
+# watermark plus tombstones; readers catch up incrementally.
+# --------------------------------------------------------------------- #
+
+
+def _pool_record(i, *, d=4):
+    """Pool record ``i``: target 0 over classes {1, 2}, in one of two
+    pair orders (two scan groups), bytes fixed by ``i`` alone."""
+    rng = np.random.default_rng(500 + i)
+    pairs = ((0, 1), (0, 2)) if i % 2 else ((0, 2), (0, 1))
+    return (
+        0, pairs, rng.normal(size=(2, d)), rng.normal(size=2),
+        rng.normal(size=d), rng.normal(size=d), float(rng.uniform(0.1, 1)),
+    )
+
+
+def _pool_probe(i):
+    """``(x, y)`` under which pool record ``i``'s claims hold at its
+    anchor — a scan hit exactly while the record is live."""
+    _, pairs, W, b, x0, _, _ = _pool_record(i)
+    logits = np.zeros(3)
+    for (_, j), claim in zip(pairs, W @ x0 + b):
+        logits[j] = -claim
+    z = np.exp(logits - logits.max())
+    return x0, z / z.sum()
+
+
+POOL = 8
+PROBES = [_pool_probe(i) for i in range(POOL)] + [
+    (np.full(4, 40.0), np.full(3, 1.0 / 3.0))
+]
+
+
+def _assert_same_view(incremental: SegmentStore, fresh: SegmentStore):
+    """Everything a reader serves from is equal in both views."""
+    assert incremental.epoch == fresh.epoch
+    assert incremental.live_signatures() == fresh.live_signatures()
+    assert incremental.live_bytes == fresh.live_bytes
+    assert incremental.dead_bytes == fresh.dead_bytes
+    assert {
+        key: set(members)
+        for key, members in incremental._live_groups.items()
+    } == {key: set(members) for key, members in fresh._live_groups.items()}
+    for sig in fresh.live_signatures():
+        got, want = incremental.read(sig), fresh.read(sig)
+        assert got[:2] == want[:2] and got[6] == want[6]
+        for a, b in zip(got[2:6], want[2:6]):
+            assert a.tobytes() == b.tobytes()
+    for x, y in PROBES:
+        assert incremental.scan(x, y, 0, tol=1e-6, floor=1e-12) == (
+            fresh.scan(x, y, 0, tol=1e-6, floor=1e-12)
+        )
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("append"), st.integers(0, POOL - 1)),
+    st.tuples(st.just("mark_dead"), st.integers(0, POOL - 1)),
+    st.tuples(st.sampled_from(["publish", "catch_up", "check"])),
+    st.tuples(st.sampled_from(["compact", "wipe"])),
+)
+
+
+class TestWatermarkIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(_OPS, max_size=30), region_index=st.booleans())
+    # A record tombstoned before the reader ever scanned it.
+    @example(
+        ops=[("append", 0), ("check",), ("append", 1), ("mark_dead", 1)],
+        region_index=False,
+    )
+    # A retired signature appended again after the reader adopted it.
+    @example(
+        ops=[("append", 0), ("check",), ("mark_dead", 0), ("append", 0)],
+        region_index=True,
+    )
+    def test_incremental_reader_equals_fresh_open(self, ops, region_index):
+        """After any interleaving of writer mutations and publishes, a
+        reader that only ever caught up incrementally (plus the full
+        refresh a changed segment list forces) serves exactly what a
+        freshly opened reader serves."""
+        with tempfile.TemporaryDirectory() as tmp:
+            writer = SegmentStore(tmp, fsync=False)
+            reader = SegmentStore(
+                tmp, read_only=True, region_index=region_index
+            )
+            for op, *args in ops + [("check",)]:
+                if op == "append":
+                    writer.append(args[0], *_pool_record(args[0]))
+                elif op == "mark_dead":
+                    writer.mark_dead(args[0])
+                elif op == "compact":
+                    writer.compact()
+                elif op == "wipe":
+                    writer.wipe()
+                elif op == "publish":
+                    writer.persist_index()
+                elif op == "catch_up":
+                    reader.maybe_refresh()
+                else:
+                    writer.persist_index()
+                    assert reader.maybe_refresh()
+                    fresh = SegmentStore(
+                        tmp, read_only=True, region_index=region_index
+                    )
+                    _assert_same_view(reader, fresh)
+                    assert fresh.live_signatures() == (
+                        writer.live_signatures()
+                    )
+                    fresh.close()
+            reader.close()
+            writer.close()
+
+    def test_publish_size_does_not_grow_with_live_appends(self, tmp_path):
+        """The index carries no per-record rows: with no tombstones, its
+        size moves only by the digits of its counters."""
+        writer = SegmentStore(tmp_path, fsync=False)
+        sizes = []
+        for sig in range(300):
+            assert writer.append(sig, *_pool_record(sig % POOL))
+            writer.persist_index()
+            sizes.append((tmp_path / "index.json").stat().st_size)
+        assert sizes[-1] - sizes[0] <= 12
+        payload = json.loads((tmp_path / "index.json").read_text())
+        assert payload["version"] == 2
+        assert payload["tombstones"] == []
+        assert set(payload) == {
+            "version", "epoch", "segments", "tails", "next_touch",
+            "tombstones",
+        }
+        writer.close()
+
+    def test_mapping_is_replaced_when_its_file_grew(self, tmp_path):
+        """Regression: a mapping made before its segment grew must not
+        serve a record past its end.  ``mmap.size()`` reports the file's
+        size, not the mapped length, so checking it left the stale
+        mapping in place and the read failed."""
+        writer = SegmentStore(tmp_path, fsync=False)
+        assert writer.append(0, *_pool_record(0))
+        writer.persist_index()
+        reader = SegmentStore(tmp_path, read_only=True)
+        assert reader.read(0)[2].tobytes() == _pool_record(0)[2].tobytes()
+        assert writer.read(0)[2].tobytes() == _pool_record(0)[2].tobytes()
+
+        assert writer.append(1, *_pool_record(1))   # grows past both maps
+        assert writer.read(1)[2].tobytes() == _pool_record(1)[2].tobytes()
+        writer.persist_index()
+        assert reader.maybe_refresh()               # incremental: maps kept
+        assert reader.read(1)[2].tobytes() == _pool_record(1)[2].tobytes()
+        x, y = _pool_probe(1)
+        assert reader.scan(x, y, 0, tol=1e-6, floor=1e-12) == (1, 0.0)
+        reader.close()
+        writer.close()
+
+    def test_version_1_index_opens_and_is_upgraded(self, tmp_path):
+        """A directory published by the row-per-record format opens: its
+        dead row stays dead, and a writer republishes it as version 2."""
+        frames, rows, offset = [], [], 0
+        for sig in (1, 2, 3):
+            payload = _pack_payload(*_pool_record(sig))
+            frame = _HEADER.pack(
+                b"RGS1", len(payload), zlib.crc32(payload), sig
+            ) + payload
+            _, pairs, _, _, x0, _, _ = _pool_record(sig)
+            rows.append(
+                [sig, 0, [list(p) for p in pairs], 4, 0, offset,
+                 len(frame), sig != 2, sig, x0.tolist()]
+            )
+            frames.append(frame)
+            offset += len(frame)
+        rows[0] = rows[0][:9]               # a row from before anchors
+        (tmp_path / "segment-00000.seg").write_bytes(b"".join(frames))
+        (tmp_path / "index.json").write_text(json.dumps({
+            "version": 1, "epoch": 7, "segments": ["segment-00000.seg"],
+            "tails": [offset], "next_touch": 3, "records": rows,
+        }))
+
+        reader = SegmentStore(tmp_path, read_only=True)
+        assert reader.epoch == 7
+        assert reader.live_signatures() == {1, 3}
+        assert reader.dead_bytes == rows[1][6]
+        writer = SegmentStore(tmp_path)
+        assert writer.live_signatures() == {1, 3}
+        payload = json.loads((tmp_path / "index.json").read_text())
+        assert payload["version"] == 2 and payload["epoch"] == 8
+        assert payload["tombstones"] == [[0, rows[1][5]]]
+        assert reader.maybe_refresh()
+        assert reader.live_signatures() == {1, 3}
+        writer.close()
+        reopened = SegmentStore(tmp_path, read_only=True)
+        assert reopened.live_signatures() == {1, 3}
+        reopened.close()
+        reader.close()
+
+        (tmp_path / "index.json").write_text(json.dumps({"version": 99}))
+        with pytest.raises(ValidationError, match="unsupported"):
+            SegmentStore(tmp_path, read_only=True)
