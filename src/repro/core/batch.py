@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.transport import QueryClient
+from repro.core.backend import resolve_backend
 from repro.core.equations import DEFAULT_PROB_FLOOR
 from repro.core.rounds import build_interpretation, run_solve_rounds_batched
 from repro.core.sampling import (
@@ -122,14 +123,21 @@ class BatchOpenAPIInterpreter:
         When True, every instance draws its samples from a private
         generator derived from ``(seed, x0 bytes)``
         (:func:`~repro.core.sampling.instance_generator`) instead of the
-        interpreter's shared advancing stream.  Results then depend only
-        on the instance and the seed — not on solve order, batch
-        composition, or which process ran the solve — which is the
-        property the multi-process serving fleet's bitwise-identity
-        guarantee rests on.  Requires an integer (or ``None``) seed so
-        the derivation is reproducible across processes.  Off by
-        default: the shared-stream behaviour (and its exact sample
-        sequences) is unchanged for existing callers.
+        interpreter's shared advancing stream.  The *samples* then
+        depend only on the instance and the seed — not on solve order,
+        batch composition, or which process ran the solve.  The
+        *answers* still depend on batch composition, through the API
+        rather than the engine: block ``b`` of a ``k``-stack engine pass
+        is bitwise its lone solve, but a model scoring one stacked
+        ``predict_proba`` call rounds each row by the row count (about
+        1e-16 on the probabilities of a ReLU network, which the
+        closed-form solve turns into about 1e-11 on the weights at a
+        batch of 8).  The multi-process serving fleet's bitwise-identity
+        guarantee therefore rests on lone (``k = 1``) solves, which is
+        how its workers solve a request.  Requires an integer (or
+        ``None``) seed so the derivation is reproducible across
+        processes.  Off by default: the shared-stream behaviour (and its
+        exact sample sequences) is unchanged for existing callers.
     """
 
     method_name = "openapi"
@@ -166,6 +174,8 @@ class BatchOpenAPIInterpreter:
             )
         self._seed = seed
         self._sampler = HypercubeSampler(seed, clip_box=clip_box)
+        # Resolved once here, not once per solve round.
+        self._backend = resolve_backend(None)
 
     # ------------------------------------------------------------------ #
     def interpret_batch(
@@ -337,6 +347,7 @@ class BatchOpenAPIInterpreter:
                 points_stack, probs_stack, samples_stack, classes_stack,
                 centers=x0s,
                 rtol=self.rtol, atol=self.atol, floor=self.prob_floor,
+                backend=self._backend,
             )
             for state, round_ in zip(active, solve_rounds):
                 state.iterations += 1

@@ -20,6 +20,13 @@ batched pass:
 4. residual norms, centered-target denominators and certificate verdicts
    are computed vectorized over the whole ``(k, C-1)`` grid.
 
+:func:`solve_stack` returns those verdicts as a :class:`StackedSolve`
+and builds a block's per-pair result objects only on request: an
+Algorithm-1 round is tiny (``d + 1`` unknowns) and usually fails its
+certificate, so the pass keeps only the arithmetic whose values reach a
+verdict or a payload.  :func:`solve_pair_systems_stacked` is the same
+pass with every block's results built.
+
 Because the shared design is centered on the interpreted instance and
 scaled to unit spread (see :mod:`repro.utils.linalg`), the Gram matrices
 stay O(1)-conditioned for arbitrarily small hypercube edges, so the
@@ -27,12 +34,13 @@ normal-equations path loses no accuracy where it is taken — and the
 conditioning screen routes everything else to ``lstsq``.
 
 Every solve path in the library funnels through this engine:
-:func:`repro.core.equations.solve_all_pairs` (and therefore
-:func:`repro.core.rounds.run_solve_round`, the sequential interpreter and
+:func:`repro.core.equations.solve_all_pairs` and
+:func:`repro.core.rounds.run_solve_round` (the sequential interpreter and
 ``interpret_all_classes``) call it with ``k = 1``;
 :class:`repro.core.batch.BatchOpenAPIInterpreter` and the serving layer
 call it with one block per active instance per lock-step round via
-:func:`repro.core.rounds.run_solve_rounds_batched`.
+:func:`repro.core.rounds.run_solve_rounds_batched`.  Block ``b`` of a
+``k``-stack is bitwise its lone solve.
 
 :func:`reference_solve_all_pairs` preserves the pre-engine per-instance
 implementation verbatim; the property suite pins the engine against it
@@ -42,6 +50,7 @@ implementation verbatim; the property suite pins the engine against it
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -62,6 +71,8 @@ from repro.utils.linalg import (
 )
 
 __all__ = [
+    "StackedSolve",
+    "solve_stack",
     "solve_pair_systems_stacked",
     "reference_solve_all_pairs",
     "EngineBenchRow",
@@ -82,31 +93,104 @@ __all__ = [
 GRAM_CONDITION_RTOL: float = 1e-6
 
 
-def _stacked_targets(
-    log_p: np.ndarray, target_classes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-instance log-odds targets against every other class.
+@functools.lru_cache(maxsize=None)
+def _pair_columns(C: int) -> np.ndarray:
+    """``(C, C)``: row ``c`` is ``c`` followed by every other class in
+    ascending order — the log-odds columns of base class ``c``."""
+    table = np.asarray(
+        [[c, *(j for j in range(C) if j != c)] for c in range(C)],
+        dtype=np.intp,
+    )
+    table.flags.writeable = False
+    return table
 
-    Parameters
-    ----------
-    log_p:
-        ``(k, n, C)`` clamped log-probabilities.
-    target_classes:
-        ``(k,)`` base class per instance.
 
-    Returns
-    -------
-    (targets, others):
-        ``targets`` is ``(k, n, C-1)``; ``others`` is the ``(k, C-1)``
-        matching ``c'`` column indices in ascending order (mirroring
-        :func:`repro.core.equations.pairwise_log_odds_targets`).
+class StackedSolve:
+    """The outcome of one fused engine pass over ``k`` stacked blocks.
+
+    Holds the verdict arrays (residual norms, relative residuals,
+    certificate grid) and the solved parameters; the per-pair
+    :class:`~repro.core.equations.PairSystemSolution` objects of a block
+    are built only when :meth:`solutions` asks for them.  An
+    Algorithm-1 round that fails its certificate is discarded after its
+    verdict is read, so most blocks never pay for result objects.
     """
-    k, _, C = log_p.shape
-    class_grid = np.broadcast_to(np.arange(C), (k, C))
-    others = class_grid[class_grid != target_classes[:, None]].reshape(k, C - 1)
-    lead = np.take_along_axis(log_p, target_classes[:, None, None], axis=2)
-    rest = np.take_along_axis(log_p, others[:, None, :], axis=2)
-    return lead - rest, others
+
+    __slots__ = (
+        "target_classes", "others", "weights", "intercepts", "res_norms",
+        "relatives", "certified_blocks", "_certified_grid", "_eigs",
+        "_lstsq", "_n", "_d",
+    )
+
+    def __init__(
+        self, *, target_classes, others, weights, intercepts, res_norms,
+        relatives, certified_grid, eigs, lstsq, n, d,
+    ):
+        self.target_classes = target_classes
+        self.others = others
+        self.weights = weights            # (k, d, C-1)
+        self.intercepts = intercepts      # (k, C-1)
+        self.res_norms = res_norms        # (k, C-1)
+        self.relatives = relatives        # (k, C-1)
+        self._certified_grid = certified_grid
+        #: Per block: every pair passed the certificate (host bools).
+        self.certified_blocks: list[bool] = certified_grid.all(axis=1).tolist()
+        self._eigs = eigs                 # (k, d+1) Gram eigenvalues
+        self._lstsq = lstsq               # block -> (rank, singular values)
+        self._n = n
+        self._d = d
+
+    def __len__(self) -> int:
+        return len(self.certified_blocks)
+
+    @property
+    def n_pairs(self) -> int:
+        return self.others.shape[1]
+
+    def n_certified(self, b: int) -> int:
+        """Pairs of block ``b`` that passed the certificate."""
+        return int(np.count_nonzero(self._certified_grid[b]))
+
+    def worst_relative_residual(self, b: int) -> float:
+        """Largest relative residual of block ``b`` (0.0 without pairs)."""
+        return float(max(self.relatives[b].tolist(), default=0.0))
+
+    def solutions(self, b: int) -> dict[tuple[int, int], PairSystemSolution]:
+        """Block ``b`` as ``(c, c') -> PairSystemSolution``, in ascending
+        ``c'`` order (what :func:`solve_all_pairs` returns for it)."""
+        if b in self._lstsq:
+            rank, sv = self._lstsq[b]
+        else:
+            # Full rank; the Gram eigenvalues are the squared design
+            # singular values.
+            rank = self._d + 1
+            sv = np.sqrt(np.clip(self._eigs[b, ::-1], 0.0, None))
+        c = int(self.target_classes[b])
+        w_rows = np.ascontiguousarray(self.weights[b].T)
+        solutions: dict[tuple[int, int], PairSystemSolution] = {}
+        for col, (c_prime, intercept, res, rel, certified) in enumerate(
+            zip(
+                self.others[b].tolist(),
+                self.intercepts[b].tolist(),
+                self.res_norms[b].tolist(),
+                self.relatives[b].tolist(),
+                self._certified_grid[b].tolist(),
+            )
+        ):
+            result = AffineLeastSquaresResult(
+                weights=w_rows[col],
+                intercept=intercept,
+                residual_norm=res,
+                relative_residual=rel,
+                rank=rank,
+                n_equations=self._n,
+                n_unknowns=self._d + 1,
+                singular_values=sv,
+            )
+            solutions[(c, c_prime)] = PairSystemSolution(
+                c=c, c_prime=c_prime, result=result, certified=certified
+            )
+        return solutions
 
 
 def solve_pair_systems_stacked(
@@ -122,6 +206,36 @@ def solve_pair_systems_stacked(
     backend: str | ArrayBackend | None = None,
 ) -> list[dict[tuple[int, int], PairSystemSolution]]:
     """Solve every class pair of every stacked instance in one fused pass.
+
+    Parameters and raises as :func:`solve_stack`, which this wraps.
+
+    Returns
+    -------
+    One ``(c, c') -> PairSystemSolution`` dict per instance, in input
+    order — element ``i`` is exactly what
+    :func:`repro.core.equations.solve_all_pairs` returns for block ``i``.
+    """
+    stack = solve_stack(
+        points, probs, target_classes, centers=centers, rtol=rtol,
+        atol=atol, floor=floor, check_certificate=check_certificate,
+        backend=backend,
+    )
+    return [stack.solutions(b) for b in range(len(stack))]
+
+
+def solve_stack(
+    points: np.ndarray,
+    probs: np.ndarray,
+    target_classes: np.ndarray,
+    *,
+    centers: np.ndarray | None = None,
+    rtol: float = DEFAULT_CERTIFICATE_RTOL,
+    atol: float = DEFAULT_CERTIFICATE_ATOL,
+    floor: float = DEFAULT_PROB_FLOOR,
+    check_certificate: bool = True,
+    backend: str | ArrayBackend | None = None,
+) -> StackedSolve:
+    """Solve and certify every class pair of every stacked instance.
 
     Parameters
     ----------
@@ -146,16 +260,17 @@ def solve_pair_systems_stacked(
         runs the batched device section — the Gram/RHS matmuls, the
         ``eigvalsh`` conditioning screen, the batched ``solve`` and the
         per-block ``lstsq`` fallback.  ``None`` resolves the process
-        default (:func:`~repro.core.backend.resolve_backend`).  Design
-        construction, residual norms and certificate verdicts always run
-        host-side in numpy, so verdicts are decided by one code path for
-        every backend.
+        default (:func:`~repro.core.backend.resolve_backend`, which reads
+        the environment and takes a lock — the interpreters resolve once
+        at construction and pass the instance).  Design construction,
+        residual norms and certificate verdicts always run host-side in
+        numpy, so verdicts are decided by one code path for every
+        backend.
 
     Returns
     -------
-    One ``(c, c') -> PairSystemSolution`` dict per instance, in input
-    order — element ``i`` is exactly what
-    :func:`repro.core.equations.solve_all_pairs` returns for block ``i``.
+    A :class:`StackedSolve`: the verdicts of every block, with the
+    per-pair result objects built on demand.
 
     Raises
     ------
@@ -182,8 +297,6 @@ def solve_pair_systems_stacked(
     if points.ndim != 3:
         raise ValidationError(f"points must be 3-D (k, n, d), got shape {points.shape}")
     k, n, d = points.shape
-    if k == 0:
-        return []
     if probs.ndim != 3 or probs.shape[:2] != (k, n):
         raise ValidationError(
             f"probs must be ({k}, {n}, C) to match points, got {probs.shape}"
@@ -193,10 +306,10 @@ def solve_pair_systems_stacked(
         raise ValidationError(
             f"target_classes must have shape ({k},), got {target_classes.shape}"
         )
-    if np.any((target_classes < 0) | (target_classes >= C)):
-        bad = int(target_classes[(target_classes < 0) | (target_classes >= C)][0])
-        raise ValidationError(f"class index {bad} out of range [0, {C})")
-    if n < d + 1:
+    bad = [c for c in target_classes.tolist() if not 0 <= c < C]
+    if bad:
+        raise ValidationError(f"class index {bad[0]} out of range [0, {C})")
+    if k and n < d + 1:
         raise ValidationError(f"need at least d+1={d + 1} equations, got {n}")
     if floor <= 0:
         raise ValidationError(f"floor must be > 0, got {floor}")
@@ -209,17 +322,25 @@ def solve_pair_systems_stacked(
                 f"centers must have shape ({k}, {d}), got {centers_arr.shape}"
             )
 
-    log_p = np.log(np.clip(probs, floor, None))
-    targets, others = _stacked_targets(log_p, target_classes)
+    # Log-odds of each block's target class against every other class,
+    # the others in ascending order (as pairwise_log_odds_targets).
+    # ``maximum`` is what ``clip`` with no upper bound computes.
+    columns = _pair_columns(C)[target_classes]                   # (k, C)
+    log_p = np.log(np.maximum(probs, floor))
+    picked = log_p[np.arange(k)[:, None], :, columns]            # (k, C, n)
+    targets_t = picked[:, :1, :] - picked[:, 1:, :]              # (k, C-1, n)
+    targets = np.ascontiguousarray(targets_t.transpose(0, 2, 1))  # (k, n, C-1)
 
-    # Stacked centered/scaled designs (same math as solve_all_pairs,
-    # vectorized over instances as well as right-hand sides).
-    offsets = points - centers_arr[:, None, :]
-    scale = np.max(np.abs(offsets), axis=(1, 2))
-    scale = np.where((scale == 0.0) | ~np.isfinite(scale), 1.0, scale)
-    design = np.concatenate(
-        [np.ones((k, n, 1)), offsets / scale[:, None, None]], axis=2
-    )
+    # Stacked centered/scaled designs [1 | (x - center) / scale], filled
+    # in place (same math as solve_all_pairs, vectorized over instances
+    # as well as right-hand sides).
+    design = np.empty((k, n, d + 1))
+    design[:, :, 0] = 1.0
+    offsets = design[:, :, 1:]
+    np.subtract(points, centers_arr[:, None, :], out=offsets)
+    scale = np.abs(offsets).max(axis=(1, 2))
+    scale[(scale == 0.0) | ~np.isfinite(scale)] = 1.0
+    np.divide(offsets, scale[:, None, None], out=offsets)
 
     # Device section: the contiguous stacks cross the backend seam once;
     # the conditioning screen and routing masks stay host-side.
@@ -234,26 +355,27 @@ def solve_pair_systems_stacked(
     eigs = be.to_host(be.eigvalsh(gram))
     fast = eigs[:, 0] > (GRAM_CONDITION_RTOL**2) * eigs[:, -1]
 
-    betas = np.empty((k, d + 1, C - 1))
-    ranks = np.full(k, d + 1, dtype=np.intp)
-    singular_values = np.sqrt(np.clip(eigs[:, ::-1], 0.0, None))
-    if fast.all():
+    # Per degenerate block: the lstsq rank and singular values.
+    lstsq: dict[int, tuple[int, np.ndarray]] = {}
+    degenerate = [] if fast.all() else np.flatnonzero(~fast).tolist()
+    if not degenerate:
         try:
             betas = be.to_host(be.solve(gram, rhs))
         except be.linalg_error:  # pragma: no cover — screened above
-            fast = np.zeros(k, dtype=bool)
-    elif fast.any():
-        idx = np.nonzero(fast)[0]
-        betas[fast] = be.to_host(
-            be.solve(be.take(gram, idx), be.take(rhs, idx))
-        )
-    for b in np.nonzero(~fast)[0]:
+            degenerate = list(range(k))
+    if degenerate:
+        betas = np.empty((k, d + 1, C - 1))
+        if len(degenerate) < k:
+            idx = np.flatnonzero(fast)
+            betas[fast] = be.to_host(
+                be.solve(be.take(gram, idx), be.take(rhs, idx))
+            )
+    for b in degenerate:
         # Degenerate block: the SVD path reproduces the pre-engine
         # reference exactly, rank and singular values included.
         beta_b, rank_b, sv_b = be.lstsq(design_dev[b], targets_dev[b])
         betas[b] = be.to_host(beta_b)
-        ranks[b] = rank_b
-        singular_values[b] = sv_b
+        lstsq[b] = (rank_b, sv_b)
 
     # repro-lint: disable=backend-seam host-side residual path; must reduce in the reference summation order bitwise (see below)
     residuals = design @ betas - targets
@@ -263,7 +385,6 @@ def solve_pair_systems_stacked(
     # can yield denom 0.0 on one path and ~1e-31 on the other, flipping
     # the degenerate branch below.
     residuals_t = np.ascontiguousarray(residuals.transpose(0, 2, 1))
-    targets_t = np.ascontiguousarray(targets.transpose(0, 2, 1))
     res_norms = np.linalg.norm(residuals_t, axis=2)  # (k, C-1)  repro-lint: disable=backend-seam host-side certificate norms in reference order
     # repro-lint: disable=backend-seam host-side certificate norms in reference order
     denoms = np.linalg.norm(
@@ -278,59 +399,27 @@ def solve_pair_systems_stacked(
         "kd,kdp->kp", centers_arr, weights
     )
 
-    overdetermined = n > d + 1
-    certified_grid = (
-        overdetermined
-        & check_certificate
-        & (ranks[:, None] == d + 1)
-        & ((res_norms <= atol) | (relatives <= rtol))
+    certified_grid = (res_norms <= atol) | (relatives <= rtol)
+    if not (check_certificate and n > d + 1):
+        # Determined systems (the naive method) carry no certificate.
+        certified_grid[:] = False
+    else:
+        for b, (rank_b, _) in lstsq.items():
+            if rank_b != d + 1:
+                certified_grid[b] = False
+    return StackedSolve(
+        target_classes=target_classes,
+        others=columns[:, 1:],
+        weights=weights,
+        intercepts=intercepts,
+        res_norms=res_norms,
+        relatives=relatives,
+        certified_grid=certified_grid,
+        eigs=eigs,
+        lstsq=lstsq,
+        n=n,
+        d=d,
     )
-
-    # Result materialization is the only per-pair Python work left; bulk
-    # tolist() conversions keep it from dominating the fused math above.
-    weights_rows = np.ascontiguousarray(weights.transpose(0, 2, 1))
-    intercepts_list = intercepts.tolist()
-    res_norms_list = res_norms.tolist()
-    relatives_list = relatives.tolist()
-    certified_list = certified_grid.tolist()
-    others_list = others.tolist()
-    classes_list = target_classes.tolist()
-    ranks_list = ranks.tolist()
-    n_unknowns = d + 1
-    result_cls = AffineLeastSquaresResult
-    solution_cls = PairSystemSolution
-    out: list[dict[tuple[int, int], PairSystemSolution]] = []
-    for b in range(k):
-        c = classes_list[b]
-        sv_b = singular_values[b]
-        rank_b = ranks_list[b]
-        w_b = weights_rows[b]
-        intercepts_b = intercepts_list[b]
-        res_b = res_norms_list[b]
-        rel_b = relatives_list[b]
-        certified_b = certified_list[b]
-        others_b = others_list[b]
-        solutions: dict[tuple[int, int], PairSystemSolution] = {}
-        for col in range(C - 1):
-            c_prime = others_b[col]
-            result = result_cls(
-                weights=w_b[col],
-                intercept=intercepts_b[col],
-                residual_norm=res_b[col],
-                relative_residual=rel_b[col],
-                rank=rank_b,
-                n_equations=n,
-                n_unknowns=n_unknowns,
-                singular_values=sv_b,
-            )
-            solutions[(c, c_prime)] = solution_cls(
-                c=c,
-                c_prime=c_prime,
-                result=result,
-                certified=certified_b[col],
-            )
-        out.append(solutions)
-    return out
 
 
 def reference_solve_all_pairs(

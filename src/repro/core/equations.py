@@ -177,6 +177,36 @@ def solve_all_pairs(
     """
     from repro.core.engine import solve_pair_systems_stacked
 
+    points_s, probs_s, classes, centers = single_instance_stack(
+        points, probs, c, center
+    )
+    return solve_pair_systems_stacked(
+        points_s,
+        probs_s,
+        classes,
+        centers=centers,
+        rtol=rtol,
+        atol=atol,
+        floor=floor,
+        check_certificate=check_certificate,
+    )[0]
+
+
+def single_instance_stack(
+    points: np.ndarray,
+    probs: np.ndarray,
+    c: int,
+    center: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """One instance's solve inputs, checked and shaped as a ``k = 1``
+    engine stack ``(points, probs, target_classes, centers)``.
+
+    Raises
+    ------
+    ValidationError
+        For mis-shaped ``points``/``probs``/``center``, fewer than
+        ``d + 1`` equations, or an out-of-range class ``c``.
+    """
     points = np.asarray(points, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     if points.ndim != 2:
@@ -199,14 +229,4 @@ def solve_all_pairs(
                 f"center must have shape ({d},), got {center_vec.shape}"
             )
         centers = center_vec[None, :]
-
-    return solve_pair_systems_stacked(
-        points[None, :, :],
-        probs[None, :, :],
-        np.asarray([c]),
-        centers=centers,
-        rtol=rtol,
-        atol=atol,
-        floor=floor,
-        check_certificate=check_certificate,
-    )[0]
+    return points[None, :, :], probs[None, :, :], np.asarray([c]), centers

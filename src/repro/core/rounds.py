@@ -11,27 +11,28 @@ step and must agree on it bit for bit:
   re-solving one certified sample set for every base class *without* new
   API queries (the whole point of Theorem 2's region-wide validity).
 
-This module is that step.  :func:`run_solve_round` wraps
-:func:`~repro.core.equations.solve_all_pairs` into a :class:`SolveRound`
-that retains the inputs (so a certified round can be re-solved for another
-target class, or audited later); :func:`run_solve_rounds_batched` does the
-same for a whole stack of instances through one fused engine pass
-(:func:`repro.core.engine.solve_pair_systems_stacked`) — the lock-step
-batch interpreter's hot path; and :func:`build_interpretation` is the one
-place a certified round becomes an
+This module is that step.  :func:`run_solve_round` (one instance) and
+:func:`run_solve_rounds_batched` (a whole stack of instances) both run one
+fused engine pass (:func:`repro.core.engine.solve_stack`) and wrap each
+block into a :class:`SolveRound` that retains the inputs (so a certified
+round can be re-solved for another target class, or audited later).  A
+round reads its verdicts straight from the engine's arrays; the per-pair
+result objects are built only when a caller reads ``solutions`` — in
+practice only for the round that certifies.  :func:`build_interpretation`
+is the one place a certified round becomes an
 :class:`~repro.core.types.Interpretation`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.core.backend import ArrayBackend
+from repro.core.engine import StackedSolve, solve_stack
 from repro.core.equations import (
     DEFAULT_PROB_FLOOR,
     PairSystemSolution,
-    solve_all_pairs,
+    single_instance_stack,
 )
 from repro.core.types import CoreParameterEstimate, Interpretation
 from repro.exceptions import ValidationError
@@ -45,7 +46,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SolveRound:
     """Everything one solve-and-certify iteration produced.
 
@@ -61,26 +61,77 @@ class SolveRound:
         The base class ``c`` the pairs were solved against.
     solutions:
         ``(c, c') -> PairSystemSolution`` for every pair.
+
+    A round made by :func:`run_solve_round` or
+    :func:`run_solve_rounds_batched` reads its verdicts (``certified``,
+    ``n_certified``, ``worst_relative_residual``) from the engine's
+    arrays and builds ``solutions`` on first access: most rounds fail
+    their certificate and are dropped unread.  A round constructed with
+    an explicit ``solutions`` dict reads everything from that dict.
     """
 
-    points: np.ndarray
-    probs: np.ndarray
-    samples: np.ndarray
-    target_class: int
-    solutions: dict[tuple[int, int], PairSystemSolution]
+    __slots__ = (
+        "points", "probs", "samples", "target_class", "_solutions",
+        "_stack", "_block",
+    )
+
+    def __init__(
+        self,
+        points: np.ndarray,
+        probs: np.ndarray,
+        samples: np.ndarray,
+        target_class: int,
+        solutions: dict[tuple[int, int], PairSystemSolution],
+    ):
+        self.points = points
+        self.probs = probs
+        self.samples = samples
+        self.target_class = target_class
+        self._solutions: dict | None = solutions
+        self._stack: StackedSolve | None = None
+        self._block = 0
+
+    @classmethod
+    def _of_block(
+        cls,
+        stack: StackedSolve,
+        block: int,
+        points: np.ndarray,
+        probs: np.ndarray,
+        samples: np.ndarray,
+    ) -> "SolveRound":
+        """Block ``block`` of an engine pass, results built on demand."""
+        round_ = cls(
+            points, probs, samples, int(stack.target_classes[block]), None
+        )
+        round_._stack = stack
+        round_._block = block
+        return round_
+
+    @property
+    def solutions(self) -> dict[tuple[int, int], PairSystemSolution]:
+        if self._solutions is None:
+            self._solutions = self._stack.solutions(self._block)
+        return self._solutions
 
     @property
     def certified(self) -> bool:
         """True when every pair passed the consistency certificate."""
+        if self._stack is not None:
+            return self._stack.certified_blocks[self._block]
         return self.n_certified == self.n_pairs
 
     @property
     def n_certified(self) -> int:
-        return sum(sol.certified for sol in self.solutions.values())
+        if self._stack is not None:
+            return self._stack.n_certified(self._block)
+        return sum(sol.certified for sol in self._solutions.values())
 
     @property
     def n_pairs(self) -> int:
-        return len(self.solutions)
+        if self._stack is not None:
+            return self._stack.n_pairs
+        return len(self._solutions)
 
     @property
     def worst_relative_residual(self) -> float:
@@ -91,10 +142,14 @@ class SolveRound:
         ``n_classes < 2`` at entry — but ``max()`` over an empty sequence
         must never crash a diagnostics read).
         """
-        if not self.solutions:
-            return 0.0
+        if self._stack is not None:
+            return self._stack.worst_relative_residual(self._block)
         return float(
-            max(sol.result.relative_residual for sol in self.solutions.values())
+            max(
+                (sol.result.relative_residual
+                 for sol in self._solutions.values()),
+                default=0.0,
+            )
         )
 
     def pair_estimates(self) -> dict[tuple[int, int], CoreParameterEstimate]:
@@ -122,6 +177,7 @@ def run_solve_round(
     rtol: float = DEFAULT_CERTIFICATE_RTOL,
     atol: float = DEFAULT_CERTIFICATE_ATOL,
     floor: float = DEFAULT_PROB_FLOOR,
+    backend: ArrayBackend | None = None,
 ) -> SolveRound:
     """Solve and certify all pairs of ``target_class`` over one sample set.
 
@@ -129,24 +185,18 @@ def run_solve_round(
     ``(points, probs)`` with another ``target_class`` yields that class's
     exact per-pair solves (and residuals) for free, which is how
     ``interpret_all_classes`` prices ``C`` interpretations at one query
-    budget.
+    budget.  The round is the ``k = 1`` case of the engine pass of
+    :func:`run_solve_rounds_batched`, with the checks of
+    :func:`~repro.core.equations.solve_all_pairs`.
     """
-    solutions = solve_all_pairs(
-        points,
-        probs,
-        target_class,
-        center=center,
-        rtol=rtol,
-        atol=atol,
-        floor=floor,
+    points_s, probs_s, classes, centers = single_instance_stack(
+        points, probs, target_class, center
     )
-    return SolveRound(
-        points=points,
-        probs=probs,
-        samples=samples,
-        target_class=target_class,
-        solutions=solutions,
+    stack = solve_stack(
+        points_s, probs_s, classes, centers=centers,
+        rtol=rtol, atol=atol, floor=floor, backend=backend,
     )
+    return SolveRound._of_block(stack, 0, points, probs, samples)
 
 
 def run_solve_rounds_batched(
@@ -159,6 +209,7 @@ def run_solve_rounds_batched(
     rtol: float = DEFAULT_CERTIFICATE_RTOL,
     atol: float = DEFAULT_CERTIFICATE_ATOL,
     floor: float = DEFAULT_PROB_FLOOR,
+    backend: ArrayBackend | None = None,
 ) -> list[SolveRound]:
     """Solve and certify a whole stack of instances in one engine pass.
 
@@ -175,6 +226,9 @@ def run_solve_rounds_batched(
         ``(k,)`` base class per instance.
     centers:
         ``(k, d)`` centering points (normally the interpreted instances).
+    backend:
+        The engine's array backend, as :func:`~repro.core.engine.solve_stack`
+        (the interpreters pass the one they resolved at construction).
 
     Returns
     -------
@@ -182,9 +236,7 @@ def run_solve_rounds_batched(
     equals ``run_solve_round(points[i], probs[i], ...)`` (the two paths
     share the engine).
     """
-    from repro.core.engine import solve_pair_systems_stacked
-
-    solutions_per_instance = solve_pair_systems_stacked(
+    stack = solve_stack(
         points,
         probs,
         target_classes,
@@ -192,16 +244,11 @@ def run_solve_rounds_batched(
         rtol=rtol,
         atol=atol,
         floor=floor,
+        backend=backend,
     )
     return [
-        SolveRound(
-            points=points[i],
-            probs=probs[i],
-            samples=samples[i],
-            target_class=int(target_classes[i]),
-            solutions=solutions,
-        )
-        for i, solutions in enumerate(solutions_per_instance)
+        SolveRound._of_block(stack, i, points[i], probs[i], samples[i])
+        for i in range(len(stack))
     ]
 
 

@@ -164,87 +164,132 @@ class RegionCacheEntry:
 
 
 class _PackedGroup:
-    """Contiguous ``(D, B)`` stacks for one (target class, pair set) bucket.
+    """Resident ``(D, B)`` scan stacks for one (target class, pair set)
+    bucket — the packed rows both region tiers scan.
 
-    Holds, for ``m`` member entries over ``P`` pairs in ``d`` dimensions:
-    ``W`` of shape ``(m, P, d)``, ``b`` of shape ``(m, P)`` and anchors
-    ``X0`` of shape ``(m, d)``.  Rows are packed when an entry is added;
-    the stacked views are rebuilt lazily after mutations (insertions and
-    evictions are rare next to lookups).  ``index`` optionally carries
-    the group's :class:`~repro.serving.index.RegionSignIndex`, kept in
-    lock-step with membership so the indexed scan path never sees a
-    stale shortlist.  ``backend`` is the
+    Holds, for ``m`` members over ``P`` pairs in ``d`` dimensions,
+    float64 buffers ``W (cap, P, d)``, ``b (cap, P)`` and anchors
+    ``X0 (cap, d)`` whose first ``m`` rows are the members in the order
+    they joined; :meth:`stacked` returns views of those rows, so a scan
+    never re-stacks.  Membership changes on every fleet miss (the L1
+    inserts the fresh solve and, once full, evicts), so each mutation
+    costs one row: an append writes the next row (the buffers double
+    when full) and a removal shifts the later rows down by one.  Rows
+    are never reordered — the scan's argmin breaks distance ties by row,
+    so row order is part of the answer.
+
+    ``index`` optionally carries the group's
+    :class:`~repro.serving.index.RegionSignIndex`, kept in lock-step
+    with membership so the indexed scan path never sees a stale
+    shortlist.  ``backend`` is the
     :class:`~repro.core.backend.ArrayBackend` running the claim matmuls;
-    the device copies of the stacks are cached alongside the host stacks
-    and invalidated together (identity copies under numpy).
+    the device copies of the stacks are cached and invalidated on every
+    mutation (identity views under numpy).
     """
 
     __slots__ = (
         "pairs", "cs", "cps", "keys", "index", "backend",
-        "_w", "_b", "_x0", "_stacks", "_dev", "_pos",
+        "_w", "_b", "_x0", "_dev", "_pos",
     )
 
     def __init__(
         self,
         pairs: tuple[tuple[int, int], ...],
+        d: int,
         index: RegionSignIndex | None = None,
         backend: str | ArrayBackend | None = None,
     ):
         self.pairs = pairs
         self.cs = np.asarray([c for c, _ in pairs], dtype=np.intp)
         self.cps = np.asarray([cp for _, cp in pairs], dtype=np.intp)
-        self.keys: list[int] = []
+        self.keys: list = []
         self.index = index
         self.backend = resolve_backend(backend)
-        self._w: list[np.ndarray] = []
-        self._b: list[np.ndarray] = []
-        self._x0: list[np.ndarray] = []
-        self._stacks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        P = len(pairs)
+        cap = _INITIAL_ROWS
+        self._w = np.empty((cap, P, d))
+        self._b = np.empty((cap, P))
+        self._x0 = np.empty((cap, d))
         self._dev: tuple | None = None
-        self._pos: dict[int, int] | None = None
+        self._pos: dict | None = {}
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def add(self, entry: RegionCacheEntry) -> None:
-        self.keys.append(entry.key)
-        self._w.append(
-            np.stack([entry.pair_estimates[p].weights for p in self.pairs])
-        )
-        self._b.append(
-            np.asarray(
-                [entry.pair_estimates[p].intercept for p in self.pairs]
-            )
-        )
-        self._x0.append(entry.x0)
-        self._stacks = None
-        self._dev = None
-        self._pos = None
-        if self.index is not None:
-            self.index.add(entry.key, entry.x0)
+    def __iter__(self):
+        return iter(self.keys)
 
-    def remove(self, key: int) -> None:
-        i = self.keys.index(key)
-        del self.keys[i], self._w[i], self._b[i], self._x0[i]
-        self._stacks = None
+    def add(self, entry: RegionCacheEntry) -> None:
+        """Append a cache entry's ``(D, B)`` and anchor as the last row."""
+        estimates = [entry.pair_estimates[p] for p in self.pairs]
+        self.append(
+            entry.key,
+            [est.weights for est in estimates],
+            [est.intercept for est in estimates],
+            entry.x0,
+        )
+
+    def append(self, key, w, b, x0: np.ndarray) -> None:
+        """Append one member's ``W (P, d)``, ``b (P,)`` and anchor
+        (copied into the buffers) as the last row."""
+        row = len(self.keys)
+        if row == len(self._x0):
+            self._w, self._b, self._x0 = (
+                _doubled(buf, row) for buf in (self._w, self._b, self._x0)
+            )
+        self._w[row] = w
+        self._b[row] = b
+        self._x0[row] = x0
+        self.keys.append(key)
+        if self._pos is not None:
+            self._pos[key] = row
         self._dev = None
+        if self.index is not None:
+            self.index.add(key, x0)
+
+    def remove(self, key) -> None:
+        """Drop ``key``'s row; the rows after it move up one, in order."""
+        i = self.keys.index(key)
+        m = len(self.keys)
+        for buf in (self._w, self._b, self._x0):
+            buf[i:m - 1] = buf[i + 1:m]
+        del self.keys[i]
         self._pos = None
+        self._dev = None
         if self.index is not None:
             self.index.discard(key)
 
-    def positions(self) -> dict[int, int]:
-        """Lazily rebuilt ``key -> stacked-row`` map (for the indexed
-        scan, which gathers shortlisted rows out of the packed stacks)."""
+    def load(self, keys: list, W: np.ndarray, b: np.ndarray, X0: np.ndarray) -> None:
+        """Make ``W``/``b``/``X0`` (C-contiguous float64, ``len(keys)``
+        rows) the buffers of an empty group, without copying them —
+        for bulk-built inventories that are scanned, never mutated."""
+        if self.keys:
+            raise ValidationError("load requires an empty group")
+        self.keys = list(keys)
+        self._w, self._b, self._x0 = W, b, X0
+        self._pos = None
+        self._dev = None
+        if self.index is not None:
+            self.index.add_batch(self.keys, X0)
+
+    def positions(self) -> dict:
+        """``key -> row`` (rebuilt after a removal; the indexed scans
+        gather shortlisted rows by position)."""
         if self._pos is None:
             self._pos = {key: i for i, key in enumerate(self.keys)}
         return self._pos
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._stacks is None:
-            self._stacks = (
-                np.stack(self._w), np.stack(self._b), np.stack(self._x0)
-            )
-        return self._stacks
+        """Views of the member rows: ``W (m, P, d)``, ``b (m, P)``,
+        ``X0 (m, d)``, valid until the next mutation."""
+        m = len(self.keys)
+        return self._w[:m], self._b[:m], self._x0[:m]
+
+    def gathered(self, keys: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the rows of ``keys``, in that order."""
+        pos = self.positions()
+        rows = np.fromiter((pos[k] for k in keys), dtype=np.intp, count=len(keys))
+        return self._w[rows], self._b[rows], self._x0[rows]
 
     def device_stacked(self) -> tuple:
         """Device copies of :meth:`stacked`, cached until the next
@@ -260,6 +305,17 @@ class _PackedGroup:
         be = self.backend
         W, b, _ = self.device_stacked()
         return be.to_host(be.affine_claims(W, b, be.asarray(x0)))
+
+
+#: Rows a new group's buffers hold before their first doubling.
+_INITIAL_ROWS = 8
+
+
+def _doubled(buf: np.ndarray, used: int) -> np.ndarray:
+    """``buf`` reallocated at twice its rows, the first ``used`` kept."""
+    grown = np.empty((2 * len(buf), *buf.shape[1:]))
+    grown[:used] = buf[:used]
+    return grown
 
 
 @dataclass(frozen=True)
@@ -676,13 +732,11 @@ class RegionCache:
             shortlist = group.index.shortlist(x0, cap)
             if not shortlist:
                 continue
-            pos = group.positions()
-            rows = np.asarray([pos[k] for k in shortlist], dtype=np.intp)
-            W, b, X0 = group.stacked()
+            W, b, X0 = group.gathered(shortlist)
             actual = log_y[group.cs] - log_y[group.cps]
             errors, dists = be.membership_scan(
-                be.asarray(W[rows]), be.asarray(b[rows]),
-                be.asarray(X0[rows]), x0_dev, be.asarray(actual),
+                be.asarray(W), be.asarray(b), be.asarray(X0), x0_dev,
+                be.asarray(actual),
             )
             passing = np.nonzero(errors <= self.tol)[0]
             if passing.size:
@@ -716,8 +770,9 @@ class RegionCache:
         detected with one matmul over the packed candidate stacks.
 
         Complexity: :math:`O(m P d)` for the duplicate scan over the
-        ``m`` same-group entries, plus O(P d) packing of the new rows
-        (the stacked views are rebuilt lazily on the next scan).
+        ``m`` same-group entries, plus O(P d) to write the new row into
+        the group's resident stacks (an eviction shifts the later rows
+        of its group by one — a memmove, no re-stack).
 
         Raises
         ------
@@ -796,7 +851,10 @@ class RegionCache:
         group = self._groups.get(group_key)
         if group is None:
             group = _PackedGroup(
-                pairs, index=self._new_index(entry.x0), backend=self.backend
+                pairs,
+                entry.x0.shape[0],
+                index=self._new_index(entry.x0),
+                backend=self.backend,
             )
             self._groups[group_key] = group
         group.add(entry)

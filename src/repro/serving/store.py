@@ -30,9 +30,11 @@ This module lifts that cap with a second tier:
 
 :class:`TieredRegionStore` composes the tiers: eviction from L1
 **demotes** the region to L2 instead of dropping it (via the cache's
-``on_evict`` hook), and an L1 miss scatter-scans the mmap'd L2 records
-with the *same* one-matmul membership test the RAM tier uses, then
-**promotes** hits back into L1.  Both paths move the identical float64
+``on_evict`` hook), and an L1 miss scans the live L2 records with the
+*same* one-matmul membership test the RAM tier uses — over resident
+packed stacks the records' rows were copied into when they were adopted
+— then **promotes** hits back into L1 (reading the record's bytes from
+the mmap'd segment).  Both paths move the identical float64
 bytes, so the tiered store preserves the serving layer's exactness
 contract end to end: interpretations are bitwise identical with L2 off,
 L2 on, and after any number of demote → promote round trips (gated by
@@ -75,6 +77,7 @@ from repro.serving.cache import (
     RegionCache,
     RegionCacheEntry,
     _entry_from_record,
+    _PackedGroup,
     check_lookup_shapes,
     pack_snapshot,
     unpack_snapshot,
@@ -269,10 +272,10 @@ class SegmentStore:
         Sign-code width / shortlist size, as :class:`RegionSignIndex`.
     backend:
         The :class:`~repro.core.backend.ArrayBackend` (or its name)
-        running the gathered-stack membership matmuls; ``None`` resolves
+        running the packed-stack membership matmuls; ``None`` resolves
         the process default.  The mmap'd segments, CRC framing, the
-        index JSON and compaction all stay host-side — only the gathered
-        per-scan stacks cross the seam.
+        index JSON and compaction all stay host-side — only the packed
+        scan stacks cross the seam.
     read_only:
         Open a *reader* view onto a directory another process writes:
         the published segment list and tombstones are loaded and every
@@ -353,11 +356,12 @@ class SegmentStore:
         self._by_sig: dict[int, _L2Record] = {}  # live records only
         # Positions of dead records — the index's tombstones.
         self._tombstones: set[tuple[int, int]] = set()
-        # Live records grouped by (target class, pair set) — maintained
-        # incrementally on adopt/mark_dead/compact/wipe so scan never
-        # rebuilds the grouping per miss.
+        # Live records grouped by (target class, pair set), each group's
+        # W|b|x0 rows resident in packed scan stacks keyed by signature —
+        # maintained row by row on adopt/mark_dead and rebuilt by
+        # compact/wipe/refresh, so a scan never touches the mmap.
         self._live_groups: dict[
-            tuple[int, tuple[tuple[int, int], ...]], dict[int, _L2Record]
+            tuple[int, tuple[tuple[int, int], ...]], _PackedGroup
         ] = {}
         # Per-group sign indexes over live anchors (region_index only).
         self._group_indexes: dict[
@@ -509,8 +513,9 @@ class SegmentStore:
             tombstones=tombstones,
         )
 
-    def _adopt(self, record: _L2Record) -> None:
-        """Install one record into the in-memory maps and meters."""
+    def _adopt(self, record: _L2Record, payload) -> None:
+        """Install one record into the in-memory maps and meters
+        (``payload`` is the record's payload bytes, for its scan row)."""
         self._by_pos[(record.seg, record.offset)] = record
         end = record.offset + record.frame_len
         if end > self._tails[record.seg]:
@@ -527,7 +532,7 @@ class SegmentStore:
                 self._retire(prior)
             self._by_sig[record.signature] = record
             self._live_bytes += record.frame_len
-            self._group(record)
+            self._group(record, payload)
         else:
             self._dead_bytes += record.frame_len
 
@@ -539,10 +544,28 @@ class SegmentStore:
         self._dead_bytes += record.frame_len
         self._ungroup(record)
 
-    def _group(self, record: _L2Record) -> None:
-        """Add a live record to its (class, pair-set) group + sign index."""
+    def _group(self, record: _L2Record, payload) -> None:
+        """Add a live record to its (class, pair-set) group + sign index.
+
+        The payload's contiguous ``W|b|x0`` slice is copied once into
+        the group's resident scan stacks.
+        """
         key = (record.target_class, record.pairs)
-        self._live_groups.setdefault(key, {})[record.signature] = record
+        group = self._live_groups.get(key)
+        if group is None:
+            group = _PackedGroup(record.pairs, record.d, backend=self.backend)
+            self._live_groups[key] = group
+        P, d = len(record.pairs), record.d
+        flat = np.frombuffer(
+            payload, dtype="<f8", count=P * d + P + d,
+            offset=_payload_layout(P, d)["w"],
+        )
+        group.append(
+            record.signature,
+            flat[:P * d].reshape(P, d),
+            flat[P * d:P * d + P],
+            flat[P * d + P:],
+        )
         if self.region_index:
             index = self._group_indexes.get(key)
             if index is None:
@@ -555,11 +578,10 @@ class SegmentStore:
     def _ungroup(self, record: _L2Record) -> None:
         """Remove a no-longer-live record from its group + sign index."""
         key = (record.target_class, record.pairs)
-        members = self._live_groups.get(key)
-        if members is not None:
-            members.pop(record.signature, None)
-            if not members:
-                del self._live_groups[key]
+        group = self._live_groups[key]
+        group.remove(record.signature)
+        if not len(group):
+            del self._live_groups[key]
         index = self._group_indexes.get(key)
         if index is not None:
             index.discard(record.signature)
@@ -614,7 +636,8 @@ class SegmentStore:
                     anchor=np.frombuffer(
                         data, dtype="<f8", count=d, offset=body + layout["x0"]
                     ).copy(),
-                )
+                ),
+                view[body:end],
             )
             offset = end
         # A torn (or writer-in-flight) trailing frame: the writer owns
@@ -801,7 +824,7 @@ class SegmentStore:
             touch=self._next_touch(),
             anchor=np.ascontiguousarray(x0, dtype=np.float64),
         )
-        self._adopt(record)
+        self._adopt(record, payload)
         self._enforce_budget()
         self._maybe_compact()
         return True
@@ -906,26 +929,25 @@ class SegmentStore:
         distance of the nearest passing candidate, or ``None``.
 
         Same mathematics as :meth:`RegionCache._scan` — live records are
-        grouped by (target class, pair set) incrementally as they are
-        adopted/retired (never rebuilt per call), every candidate's
-        per-pair affine claim is evaluated with one matmul per group,
-        and candidates within ``tol`` pass.  The stacks are gathered
-        *transiently* from the mmap'd segments (scratch for this call
-        only): resident memory stays bounded by L1 while the OS page
-        cache absorbs the hot disk pages.  Complexity: :math:`O(m P d)`
-        gather + matmul over the ``m`` live same-class records; with
-        ``region_index`` on, over each group's sign-bucket shortlist
-        instead, falling back to the full gather only when no
-        shortlisted candidate passes (so hit/miss behavior is identical
-        either way).
+        grouped by (target class, pair set) as they are adopted/retired
+        (never rebuilt per call), every candidate's per-pair affine claim
+        is evaluated with one matmul per group, and candidates within
+        ``tol`` pass.  Each group's ``W``/``b``/``x0`` rows are resident
+        packed stacks (:class:`~repro.serving.cache._PackedGroup`),
+        copied out of the segment once when the record is adopted, so a
+        scan reads no mmap'd bytes.  The price is resident memory of
+        ``8 (P d + P + d)`` bytes per live record per reader (256 B at
+        ``P = 2``, ``d = 10``), plus the buffers' doubling slack.
+        Complexity: :math:`O(m P d)` matmul over the ``m`` live
+        same-class records; with ``region_index`` on, over each group's
+        sign-bucket shortlist instead (rows gathered by position),
+        falling back to the full scan only when no shortlisted candidate
+        passes (so hit/miss behavior is identical either way).
         """
         check_lookup_shapes(
             x0, y0, dim=self._dim, min_classes=self._min_classes
         )
-        if not any(
-            tc == target_class and members
-            for (tc, _), members in self._live_groups.items()
-        ):
+        if not any(tc == target_class for tc, _ in self._live_groups):
             return None
         log_y = np.log(np.clip(y0, floor, None))
         if self.region_index:
@@ -952,59 +974,36 @@ class SegmentStore:
         """One pass of the membership scan over the live groups.
 
         With ``shortlist=True`` each group contributes only its sign
-        index's nearest-bucket candidates; otherwise every live member
-        is gathered.  Returns the nearest passing ``(signature,
-        squared distance)`` or ``None``.
+        index's nearest-bucket candidates; otherwise every live member.
+        Returns the nearest passing ``(signature, squared distance)`` or
+        ``None``.
         """
-        cap = self.index_shortlist
         be = self.backend
         x0_dev = be.asarray(x0)
         best: tuple[float, int] | None = None  # (dist, signature)
-        for (tc, pairs), group_members in self._live_groups.items():
-            if tc != target_class or not group_members:
+        for (tc, pairs), group in self._live_groups.items():
+            if tc != target_class:
                 continue
             if shortlist:
                 index = self._group_indexes.get((tc, pairs))
                 if index is None:
                     continue
-                members = [
-                    group_members[sig]
-                    for sig in index.shortlist(x0, cap)
-                ]
+                sigs = index.shortlist(x0, self.index_shortlist)
+                if not sigs:
+                    continue
+                W, B, X0 = (be.asarray(a) for a in group.gathered(sigs))
             else:
-                members = list(group_members.values())
-            if not members:
-                continue
-            P = len(pairs)
-            d = x0.shape[0]
-            m = len(members)
-            layout = _payload_layout(P, d)
-            W = np.empty((m, P, d))
-            B = np.empty((m, P))
-            X0 = np.empty((m, d))
-            for i, record in enumerate(members):
-                buf = self._view(record)
-                W[i] = np.frombuffer(
-                    buf, dtype="<f8", count=P * d, offset=layout["w"]
-                ).reshape(P, d)
-                B[i] = np.frombuffer(
-                    buf, dtype="<f8", count=P, offset=layout["b"]
-                )
-                X0[i] = np.frombuffer(
-                    buf, dtype="<f8", count=d, offset=layout["x0"]
-                )
-            cs = np.asarray([c for c, _ in pairs], dtype=np.intp)
-            cps = np.asarray([cp for _, cp in pairs], dtype=np.intp)
-            actual = log_y[cs] - log_y[cps]
+                sigs = group.keys
+                W, B, X0 = group.device_stacked()
+            actual = log_y[group.cs] - log_y[group.cps]
             errors, dists = be.membership_scan(
-                be.asarray(W), be.asarray(B), be.asarray(X0),
-                x0_dev, be.asarray(actual),
+                W, B, X0, x0_dev, be.asarray(actual)
             )
             passing = np.nonzero(errors <= tol)[0]
             if passing.size:
                 i = int(passing[np.argmin(dists[passing])])
                 if best is None or dists[i] < best[0]:
-                    best = (float(dists[i]), members[i].signature)
+                    best = (float(dists[i]), sigs[i])
         if best is None:
             return None
         return best[1], best[0]
@@ -1029,7 +1028,7 @@ class SegmentStore:
         self._seg_counter += 1
         new_path = self._seg_path(new_name)
         survivors = sorted(self._by_sig.values(), key=lambda r: r.touch)
-        rewritten: list[_L2Record] = []
+        rewritten: list[tuple[_L2Record, bytes]] = []
         with open(new_path, "wb") as handle:
             offset = 0
             for record in survivors:
@@ -1039,7 +1038,7 @@ class SegmentStore:
                     record.signature,
                 )
                 handle.write(header + payload)
-                rewritten.append(
+                rewritten.append((
                     _L2Record(
                         signature=record.signature,
                         target_class=record.target_class,
@@ -1051,8 +1050,9 @@ class SegmentStore:
                         live=True,
                         touch=record.touch,
                         anchor=record.anchor,
-                    )
-                )
+                    ),
+                    payload,
+                ))
                 offset += len(header) + len(payload)
             handle.flush()
             if self.fsync:
@@ -1061,8 +1061,8 @@ class SegmentStore:
         self._reset_view()
         self._segments = [new_name]
         self._tails = [0]
-        for record in rewritten:
-            self._adopt(record)
+        for record, payload in rewritten:
+            self._adopt(record, payload)
         self._n_compactions += 1
         self._persist_index()
         for name in old_segments:
@@ -1226,7 +1226,7 @@ class TieredRegionStore:
     Drop-in for the ``cache``/``store`` surface of the interpretation
     services (``lookup`` / ``insert`` / ``stats`` / ``save`` / ``load``):
     an L1 hit behaves exactly like the sharded cache; an L1 miss
-    scatter-scans the disk tier, promotes the hit back into RAM, and
+    scans the disk tier, promotes the hit back into RAM, and
     serves it bitwise — so turning L2 on can change *cost*, never
     *content*.  Thread-safe: concurrent flush workers may look up and
     insert simultaneously (L2 state mutates under one store lock; the

@@ -361,10 +361,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.index_bits is not None:
         tier_kwargs["index_bits"] = args.index_bits
     tier = L2ReaderCache(args.l2_dir, **tier_kwargs)
-    # per_instance_seed makes every solve a pure function of
-    # (seed, x0): whichever worker lands the request — and whatever
-    # else shares its micro-batch — the drawn samples, and so the
-    # certified answer, are bitwise those of a single-process service.
+    # per_instance_seed makes every drawn sample a pure function of
+    # (seed, x0), whichever worker lands the request.  A lone request
+    # is solved alone (k = 1), so its certified answer is bitwise that
+    # of a single-process service; a request sharing a micro-batch with
+    # others gets the same samples, but the model's stacked
+    # predict_proba rounds by row count, so its answer may differ in
+    # the last bits.
     service = InterpretationService(
         api, cache=tier, seed=args.seed, backend=args.backend,
         per_instance_seed=True,

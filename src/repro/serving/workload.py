@@ -1731,11 +1731,8 @@ def _bulk_filled_cache(
         index_shortlist=index_shortlist,
     )
     index = RegionSignIndex(d, bits=index_bits) if region_index else None
-    group = _PackedGroup(pairs, index=index)
-    group.keys = list(range(m))
-    group._stacks = (W, B, anchors)
-    if index is not None:
-        index.add_batch(group.keys, anchors)
+    group = _PackedGroup(pairs, d, index=index)
+    group.load(list(range(m)), W, B, anchors)
     cache._groups[(0, pairs)] = group
     cache._dim = d
     cache._min_classes = n_pairs + 1

@@ -285,3 +285,88 @@ class TestZeroPairRegression:
         )
         assert round_.worst_relative_residual == 0.0
         assert round_.n_pairs == 0
+
+
+def _assert_bitwise(got_solutions, want_solutions):
+    """Same pairs in the same order, every field bitwise equal."""
+    assert list(got_solutions) == list(want_solutions)
+    for pair, want in want_solutions.items():
+        got = got_solutions[pair]
+        assert (got.c, got.c_prime, got.certified) == (
+            want.c, want.c_prime, want.certified
+        )
+        assert np.array_equal(got.result.weights, want.result.weights)
+        assert np.array_equal(
+            got.result.singular_values, want.result.singular_values
+        )
+        for field in (
+            "intercept", "residual_norm", "relative_residual", "rank",
+            "n_equations", "n_unknowns",
+        ):
+            assert getattr(got.result, field) == getattr(want.result, field)
+
+
+class TestBatchInvariance:
+    """Block ``b`` of a ``k``-stack is bitwise its lone (``k = 1``) solve.
+
+    The fleet's bitwise identity rests on this: a region solved in any
+    lock-step batch, on any process, must carry the exact bytes of the
+    same instance solved alone.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_blocks_equal_lone_solves_bitwise(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        k = int(rng.integers(2, 7))
+        n, d, C = [(12, 10, 3), (6, 4, 3), (16, 6, 5), (7, 5, 2)][seed % 4]
+        noise = (0.0, 1e-3)[seed % 2]
+        points, probs, classes, centers = _random_problem(
+            rng, k, n, d, C, noise=noise
+        )
+        if seed == 5:
+            # A rank-deficient block rides along: the lstsq fallback.
+            points[1, :, -1] = centers[1, -1]
+        samples = points[:, 1:, :]
+        stacked = run_solve_rounds_batched(
+            points, probs, samples, classes, centers=centers
+        )
+        for b in range(k):
+            lone = run_solve_rounds_batched(
+                points[b:b + 1], probs[b:b + 1], samples[b:b + 1],
+                classes[b:b + 1], centers=centers[b:b + 1],
+            )[0]
+            got, want = stacked[b], lone
+            assert got.certified == want.certified
+            assert got.n_certified == want.n_certified
+            assert got.worst_relative_residual == want.worst_relative_residual
+            _assert_bitwise(got.solutions, want.solutions)
+
+    def test_lazy_failed_round_reads_like_an_eager_one(self):
+        """A round whose certificate fails reports the same verdicts
+        from the engine's arrays as from its built ``solutions``."""
+        rng = np.random.default_rng(21)
+        points, probs, classes, centers = _random_problem(
+            rng, 3, 8, 6, 4, noise=1e-3
+        )
+        rounds = run_solve_rounds_batched(
+            points, probs, points[:, 1:], classes, centers=centers
+        )
+        for lazy in rounds:
+            assert not lazy.certified
+            eager = SolveRound(
+                points=lazy.points,
+                probs=lazy.probs,
+                samples=lazy.samples,
+                target_class=lazy.target_class,
+                solutions=solve_all_pairs(
+                    lazy.points, lazy.probs, lazy.target_class,
+                    center=lazy.points[0],
+                ),
+            )
+            # Verdicts first: they must not need the built solutions.
+            assert lazy.n_certified == eager.n_certified
+            assert lazy.n_pairs == eager.n_pairs
+            assert lazy.worst_relative_residual == eager.worst_relative_residual
+            assert lazy.certified == eager.certified
+            _assert_bitwise(lazy.solutions, eager.solutions)
+            assert lazy.solutions is lazy.solutions  # built once
