@@ -49,7 +49,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--requests", type=int, default=600)
     parser.add_argument("--anchors", type=int, default=48)
-    parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--l2-dir", default=None,
@@ -71,8 +70,7 @@ def main(argv: list[str] | None = None) -> int:
 
     report, min_retention = run_tiered_store_benchmark(
         n_requests=args.requests, n_anchors=args.anchors,
-        n_shards=args.shards, seed=args.seed, tiny=args.tiny,
-        l2_dir=args.l2_dir,
+        seed=args.seed, tiny=args.tiny, l2_dir=args.l2_dir,
     )
     print(report.as_text())
     if args.output:

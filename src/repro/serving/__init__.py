@@ -8,12 +8,8 @@ package converts that guarantee into serving machinery:
   later query landing in the same activation region, verified by a cheap
   log-odds membership check, bounded by LRU or TTL eviction and
   persistable to warm-start snapshots;
-* :class:`ShardedRegionCache` / :class:`ShardedInterpretationService`
-  (:mod:`repro.serving.shard`) — the bounded-memory sharded tier:
-  entries hash-routed across shards by region signature, multiple flush
-  workers over a backpressured queue;
 * :class:`TieredRegionStore` (:mod:`repro.serving.store`) — the
-  persistent two-tier store: the sharded RAM cache as L1 over an
+  persistent two-tier store: the RAM cache as L1 over an
   append-only, memory-mapped, crash-safe disk segment store as L2;
   evictions demote to disk, disk hits promote back, and the region
   inventory outlives both process memory and process lifetime;
@@ -61,53 +57,40 @@ from repro.serving.gateway import (
 )
 from repro.serving.metrics import ServiceMetrics, ServiceStats
 from repro.serving.service import InterpretationService, PendingResponse
-from repro.serving.shard import (
-    ShardedCacheStats,
-    ShardedInterpretationService,
-    ShardedRegionCache,
-    region_signature,
-    signature_of,
-)
 from repro.serving.store import (
     L2ReaderCache,
     SegmentStore,
     TieredRegionStore,
     TieredStoreStats,
+    region_signature,
+    signature_of,
 )
 from repro.serving.workload import (
-    BOUNDED_RESIDENT_FRACTION,
     DEFAULT_SPEEDUP_THRESHOLD,
     GATEWAY_SPEEDUP_THRESHOLD,
     INDEX_GROWTH_RATIO_THRESHOLD,
     INDEX_SPEEDUP_THRESHOLD,
     MIN_SPEEDUP_FLOOR,
     SPEEDUP_RETENTION,
-    SHARDED_HIT_RATE_RATIO_THRESHOLD,
-    SHARDED_SCAN_RATIO_THRESHOLD,
     TIERED_HIT_RETENTION_THRESHOLD,
     TIERED_L1_RESIDENT_FRACTION,
     GatewayBenchArm,
     GatewayBenchReport,
     IndexScalingRow,
     RegionIndexReport,
-    ScanScalingRow,
-    ShardedServingReport,
     ThroughputArm,
     ThroughputReport,
     TieredStoreReport,
     churn_workload,
     drifting_zipf_workload,
     gateway_gate_failures,
-    measure_scan_scaling,
     run_gateway_benchmark,
     multi_tenant_workload,
     region_index_gate_failures,
     run_region_index_benchmark,
-    run_sharded_benchmark,
     run_standard_benchmark,
     run_throughput_benchmark,
     run_tiered_store_benchmark,
-    sharded_gate_failures,
     tiered_gate_failures,
     zipf_clustered_workload,
 )
@@ -118,9 +101,6 @@ __all__ = [
     "CacheStats",
     "DEFAULT_MEMBERSHIP_TOL",
     "EVICTION_POLICIES",
-    "ShardedRegionCache",
-    "ShardedCacheStats",
-    "ShardedInterpretationService",
     "SegmentStore",
     "L2ReaderCache",
     "TieredRegionStore",
@@ -142,22 +122,14 @@ __all__ = [
     "PendingResponse",
     "ThroughputArm",
     "ThroughputReport",
-    "ScanScalingRow",
-    "ShardedServingReport",
     "run_throughput_benchmark",
     "run_standard_benchmark",
-    "run_sharded_benchmark",
     "run_tiered_store_benchmark",
-    "sharded_gate_failures",
     "tiered_gate_failures",
     "TieredStoreReport",
-    "measure_scan_scaling",
     "DEFAULT_SPEEDUP_THRESHOLD",
     "SPEEDUP_RETENTION",
     "MIN_SPEEDUP_FLOOR",
-    "SHARDED_HIT_RATE_RATIO_THRESHOLD",
-    "SHARDED_SCAN_RATIO_THRESHOLD",
-    "BOUNDED_RESIDENT_FRACTION",
     "TIERED_L1_RESIDENT_FRACTION",
     "TIERED_HIT_RETENTION_THRESHOLD",
     "RegionSignIndex",

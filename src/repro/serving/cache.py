@@ -49,8 +49,8 @@ evictions and approximate resident bytes so operators can size
 persist the packed region arrays to a single ``.npz`` so a service can
 warm-start from a prior run's regions — the arrays round-trip bitwise,
 preserving the cache's exactness contract across restarts.  The format is
-shared with :class:`repro.serving.shard.ShardedRegionCache`, which
-re-routes each entry by its region signature at load time.
+shared with :class:`repro.serving.store.TieredRegionStore`, which
+bootstraps its disk tier from it.
 """
 
 from __future__ import annotations
@@ -345,8 +345,7 @@ class CacheStats:
     index_hits:
         Membership scans decided by the sign-index shortlist (the exact
         matmul ran over shortlisted candidates only).  Always 0 with
-        ``region_index=False``.  Counted per *scan*, so one sharded
-        lookup can contribute up to ``n_shards`` of them.
+        ``region_index=False``.
     index_fallbacks:
         Membership scans whose shortlist produced no passing candidate,
         falling back to the full linear scan (the transparency path —
@@ -399,8 +398,7 @@ def check_lookup_shapes(
 ) -> None:
     """Reject dimension mismatches before they hit the packed matmul.
 
-    Shared by :class:`RegionCache` and the sharded tier (whose empty
-    shards could not otherwise enforce a consistent dimensionality).
+    Shared by :class:`RegionCache` and the L2 segment store's scan.
 
     Raises
     ------
@@ -640,10 +638,11 @@ class RegionCache:
         if scored is None:
             self._misses += 1
             return None
-        served = self._serve(scored[0], x0)
-        if served is None:  # pragma: no cover — single-threaded lookups
-            self._misses += 1  # cannot race between scan and serve
-        return served
+        entry = self._entries[scored[0]]
+        entry.hits += 1
+        self._hits += 1
+        self._touch(entry)
+        return self._rebase(entry, x0)
 
     def _scan(
         self, x0: np.ndarray, y0: np.ndarray, target_class: int
@@ -652,9 +651,8 @@ class RegionCache:
         the nearest passing candidate, or ``None``.
 
         Mutates only the index meters (shortlist hit/fallback counters)
-        — hit/miss counters, LRU order and TTL leases are the caller's
-        job (:meth:`lookup` here; the sharded tier runs this per shard
-        and serves only the global winner).
+        — hit/miss counters, LRU order and TTL leases are
+        :meth:`lookup`'s job.
 
         With ``region_index`` on, the sign-bucket shortlist is
         membership-checked first; any passing shortlisted candidate
@@ -746,18 +744,6 @@ class RegionCache:
         if best is None:
             return None
         return best[1], best[0]
-
-    def _serve(self, key: int, x0: np.ndarray) -> Interpretation | None:
-        """Count and serve a scan winner (``None`` if it was evicted
-        between scan and serve — only possible in the sharded tier, where
-        the shard lock is released between the two steps)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        entry.hits += 1
-        self._hits += 1
-        self._touch(entry)
-        return self._rebase(entry, x0)
 
     def insert(self, interpretation: Interpretation) -> bool:
         """Cache a certified interpretation; returns False for duplicates.
@@ -1004,7 +990,7 @@ class RegionCache:
 
 
 # --------------------------------------------------------------------- #
-# Snapshot format (shared with the sharded tier)
+# Snapshot format (shared with the tiered store)
 # --------------------------------------------------------------------- #
 def pack_snapshot(
     entries: list[RegionCacheEntry],

@@ -33,7 +33,7 @@ than the global scan's; this is the same caveat the cache's false-hit
 argument already carries.)
 
 **Determinism.**  The bank is derived from the fixed :data:`INDEX_SEED`
-per ``(d, bits)`` shape, so every process, shard, tier and recovery scan
+per ``(d, bits)`` shape, so every process, tier and recovery scan
 assigns the same entry the same bucket code — the L2 tier reads the
 anchors out of its record payloads and rebuilds identical buckets on
 open.
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 #: Seed of the shared hyperplane bank.  Fixed so bucket codes agree
-#: across processes, shards, tiers and restarts (the L2 index persists
+#: across processes, tiers and restarts (the L2 index persists
 #: anchors, not codes, and recomputes codes against this bank on open).
 INDEX_SEED: int = 0x51C7_1DE5
 
@@ -163,8 +163,8 @@ class RegionSignIndex:
     the ``k`` nearest-anchor candidates for the exact membership test.
 
     Not thread-safe on its own — both tiers mutate it under the lock
-    that already guards the structure it accelerates (the L1 shard lock
-    / the tiered store lock).
+    that already guards the structure it accelerates (the service's
+    flush lock for L1 / the tiered store lock for L2).
 
     Parameters
     ----------

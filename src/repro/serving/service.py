@@ -22,16 +22,13 @@ Two usage styles:
 * synchronous: ``service.interpret(x0)`` / ``service.interpret_many(X)``
   (each call flushes its own micro-batch);
 * pipelined: ``service.start()``, then ``submit()`` from any thread —
-  a background loop gathers requests for up to ``max_wait_s`` (or until
-  ``max_batch_size``) and flushes them together.
+  one background worker gathers requests for up to ``max_wait_s`` (or
+  until ``max_batch_size``) and flushes them together.
 
-The class is written so the sharded tier
-(:class:`repro.serving.shard.ShardedInterpretationService`) can run
-*several* flush workers concurrently: batch processing is parameterized
-on the interpreter, meter accounting happens under a dedicated lock
-using API-meter deltas (globally exact regardless of flush
-interleaving), and :meth:`submit` consults a capacity hook so subclasses
-can apply backpressure.
+Every flush — inline or from the worker — runs under one flush lock, so
+the region tier behind the service (a :class:`RegionCache`, a
+:class:`~repro.serving.store.TieredRegionStore` or an
+:class:`~repro.serving.store.L2ReaderCache`) sees one caller at a time.
 """
 
 from __future__ import annotations
@@ -108,8 +105,9 @@ class InterpretationService:
         ``interpreter_kwargs`` when omitted.
     cache:
         A pre-configured :class:`RegionCache` (or any object with the
-        same ``lookup``/``insert``/``stats`` surface, e.g. the sharded
-        cache), or ``None`` for a default one.  Pass
+        same ``lookup``/``insert``/``stats`` surface, e.g. an
+        :class:`~repro.serving.store.L2ReaderCache`), or ``None`` for a
+        default one.  Pass
         ``enable_cache=False`` to disable region reuse entirely (every
         request solves fresh — the baseline the throughput benchmark
         compares against).
@@ -126,11 +124,12 @@ class InterpretationService:
         after the first one arrives.
     broker:
         Optional :class:`~repro.api.QueryBroker` over the same ``api``.
-        When given, every flush queries through a per-worker
-        :class:`~repro.api.BrokerHandle` instead of the raw API, so
-        probe and lock-step trips coalesce across concurrent flush
-        workers (and any other broker callers) into fused round trips;
-        exhausted transport retries come back as structured
+        When given, every flush queries through the service's own
+        :class:`~repro.api.BrokerHandle` instead of the raw API, so its
+        probe and lock-step trips coalesce with any other broker
+        callers' into fused round trips (the service itself has one
+        batch in flight at a time); exhausted transport retries come
+        back as structured
         ``transport_failed`` envelopes.  Meter accounting keeps reading
         the underlying API, so the lifetime totals stay exact.
     backend:
@@ -235,36 +234,24 @@ class InterpretationService:
         self.max_wait_s = float(max_wait_s)
         self.metrics = ServiceMetrics(backend=self.backend.name)  # guarded-by: _metrics_lock
 
+        # The one query client every flush speaks through: the service's
+        # broker handle when brokered, else the raw API.
+        self._client: QueryClient = (
+            broker.handle("service") if broker is not None else api
+        )
+
         self._queue: deque[PendingResponse] = deque()  # guarded-by: _cv
         self._cv = threading.Condition()
         self._flush_lock = threading.Lock()
         # Meter accounting is delta-based against these high-water marks,
-        # under its own lock: totals stay exact even when several workers
-        # flush concurrently (the sharded tier), because every spent query
-        # is counted by exactly one _account call.
+        # under its own lock so stats() readers never see a half-folded
+        # flush: every spent query is counted by exactly one _account call.
         self._metrics_lock = threading.Lock()
         self._metered_queries = api.query_count  # guarded-by: _metrics_lock
         self._metered_trips = api.request_count  # guarded-by: _metrics_lock
         self._next_id = 0              # guarded-by: _cv
-        self._workers: list[threading.Thread] = []
+        self._worker: threading.Thread | None = None
         self._stopping = False         # guarded-by: _cv
-        # Per-worker query clients: broker handles when brokered (exact
-        # per-worker attribution, cross-worker trip fusion), else the
-        # raw API.  Created lazily under the lock — handle identity must
-        # be stable per worker index.
-        self._clients: dict[int, QueryClient] = {}  # guarded-by: _clients_lock
-        self._clients_lock = threading.Lock()
-
-    def _client(self, worker_idx: int) -> QueryClient:
-        """The query client flush worker ``worker_idx`` speaks through."""
-        if self.broker is None:
-            return self.api
-        with self._clients_lock:
-            client = self._clients.get(worker_idx)
-            if client is None:
-                client = self.broker.handle(f"worker-{worker_idx}")
-                self._clients[worker_idx] = client
-            return client
 
     # ------------------------------------------------------------------ #
     # Request intake
@@ -293,7 +280,6 @@ class InterpretationService:
                 f"[0, {self.api.n_classes})"
             )
         with self._cv:
-            self._wait_for_capacity()
             request = InterpretRequest(
                 request_id=self._next_id, x0=x0, target_class=target_class
             )
@@ -302,13 +288,6 @@ class InterpretationService:
             self._queue.append(pending)
             self._cv.notify_all()
         return pending
-
-    def _wait_for_capacity(self) -> None:
-        """Backpressure hook (called under ``_cv``); unbounded here.
-
-        The sharded tier overrides this to block producers while the
-        queue is at its bound and the worker loop is draining it.
-        """
 
     def interpret(
         self,
@@ -323,7 +302,7 @@ class InterpretationService:
         micro-batch; otherwise it is flushed inline.
         """
         pending = self.submit(x0, target_class)
-        if not self._workers:
+        if self._worker is None:
             self.flush()
         return pending.result(timeout)
 
@@ -346,7 +325,7 @@ class InterpretationService:
             self.submit(x0, None if classes is None else int(classes[i]))
             for i, x0 in enumerate(X)
         ]
-        if not self._workers:
+        if self._worker is None:
             while any(not p.done() for p in pendings):
                 if not self.flush():
                     break
@@ -359,41 +338,24 @@ class InterpretationService:
         """Process up to ``max_batch_size`` queued requests as one batch.
 
         Serialized by the flush lock — one micro-batch in flight at a
-        time (the sharded tier's workers bypass this entry point to run
-        several batches concurrently, each with its own interpreter).
+        time, whether flushed inline or by the background worker.
         """
         with self._flush_lock:
-            batch = self._pop_batch()
+            with self._cv:
+                batch = [
+                    self._queue.popleft()
+                    for _ in range(min(len(self._queue), self.max_batch_size))
+                ]
             if not batch:
                 return []
-            return self._process(batch, self.interpreter, self._client(0))
-
-    def _pop_batch(self) -> list[PendingResponse]:
-        """Dequeue up to ``max_batch_size`` requests and wake any
-        backpressured producers."""
-        with self._cv:
-            batch = [
-                self._queue.popleft()
-                for _ in range(min(len(self._queue), self.max_batch_size))
-            ]
-            if batch:
-                self._cv.notify_all()
-        return batch
+            return self._process(batch)
 
     def _process(
-        self,
-        batch: list[PendingResponse],
-        interpreter: BatchOpenAPIInterpreter,
-        client: QueryClient,
+        self, batch: list[PendingResponse]
     ) -> list[InterpretResponse]:
         """Serve one micro-batch; never lets an exception escape.
 
-        ``client`` is the worker's query surface from :meth:`_client`
-        (its per-worker broker handle, or the API itself when no broker
-        is configured) — the broker-vs-api choice lives there, nowhere
-        else.
-
-        A worker thread runs this, so any exception leaking out would
+        The worker thread runs this, so any exception leaking out would
         kill the loop and wedge every pending request.  Unexpected
         failures therefore become structured envelopes
         (``invalid_request`` for validation issues, ``transport_failed``
@@ -403,7 +365,7 @@ class InterpretationService:
         meters still record whatever the aborted flush spent.
         """
         try:
-            return self._process_batch(batch, interpreter, client)
+            return self._process_batch(batch)
         except Exception as exc:  # boundary: service envelope boundary — failures become structured error envelopes and the meters still account the aborted flush
             if isinstance(exc, ValidationError):
                 code, retryable = ERROR_INVALID_REQUEST, False
@@ -433,15 +395,12 @@ class InterpretationService:
             return responses
 
     def _process_batch(
-        self,
-        batch: list[PendingResponse],
-        interpreter: BatchOpenAPIInterpreter,
-        client: QueryClient,
+        self, batch: list[PendingResponse]
     ) -> list[InterpretResponse]:
         """One probe trip + cache scan + lock-step solve of the misses.
 
-        ``client`` is the worker's query client — the raw API, or a
-        broker handle whose trips fuse with concurrent workers'.
+        Queries go through ``self._client`` — the raw API, or a broker
+        handle whose trips fuse with other broker callers'.
 
         Complexity per flush of ``B`` requests with ``M`` misses over a
         ``d``-dimensional, ``C``-class model: one probe round trip
@@ -451,7 +410,7 @@ class InterpretationService:
         the misses — :math:`O(T (M (d+2)^3 + M C (d+2)^2))` via
         :func:`repro.core.engine.solve_pair_systems_stacked`.
         """
-        api = client
+        api = self._client
         X = np.vstack([p.request.x0 for p in batch])
 
         # Probe round: one trip scores every queued instance; the rows
@@ -520,7 +479,7 @@ class InterpretationService:
         else:
             solve_slots = misses
         if solve_slots:
-            result = interpreter.interpret_batch(
+            result = self.interpreter.interpret_batch(
                 api,
                 X[solve_slots],
                 [targets[i] for i in solve_slots],
@@ -608,9 +567,7 @@ class InterpretationService:
         Query/trip spend is measured as the API-meter delta since the
         last ``_account`` call (the high-water marks live under
         ``_metrics_lock``), so lifetime totals match the API meters
-        exactly even when multiple workers flush concurrently —
-        per-flush attribution is approximate under concurrency, the
-        totals are not.
+        exactly.
         """
         with self._metrics_lock:
             q_now = self.api.query_count
@@ -651,36 +608,26 @@ class InterpretationService:
     # ------------------------------------------------------------------ #
     # Background micro-batching loop
     # ------------------------------------------------------------------ #
-    def _n_workers(self) -> int:
-        """How many flush workers :meth:`start` spawns (1 here)."""
-        return 1
-
     def start(self) -> None:
-        """Start the background worker loop(s) (idempotent)."""
-        if self._workers:
+        """Start the background worker loop (idempotent)."""
+        if self._worker is not None:
             return
         with self._cv:
             self._stopping = False
-        for idx in range(self._n_workers()):
-            worker = threading.Thread(
-                target=self._loop,
-                args=(idx,),
-                name=f"interpretation-service-{idx}",
-                daemon=True,
-            )
-            worker.start()
-            self._workers.append(worker)
+        self._worker = threading.Thread(
+            target=self._loop, name="interpretation-service", daemon=True
+        )
+        self._worker.start()
 
     def stop(self, *, drain: bool = True) -> None:
-        """Stop the loop(s); by default flush whatever is still queued."""
-        if not self._workers:
+        """Stop the loop; by default flush whatever is still queued."""
+        if self._worker is None:
             return
         with self._cv:
             self._stopping = True
             self._cv.notify_all()
-        for worker in self._workers:
-            worker.join()
-        self._workers = []
+        self._worker.join()
+        self._worker = None
         if drain:
             while self.flush():
                 pass
@@ -692,7 +639,7 @@ class InterpretationService:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _loop(self, worker_idx: int) -> None:
+    def _loop(self) -> None:
         while True:
             with self._cv:
                 while not self._queue and not self._stopping:
@@ -708,18 +655,12 @@ class InterpretationService:
                         break
                     self._cv.wait(timeout=remaining)
             try:
-                while self._flush_worker(worker_idx):
+                while self.flush():
                     pass
             except Exception:  # boundary: defense in depth — the flush worker must outlive any surprise (_process already envelopes) or pending requests hang forever
                 # Defense in depth: the worker must outlive any surprise,
                 # or every pending request would hang forever.
                 continue
-
-    def _flush_worker(self, worker_idx: int) -> list[InterpretResponse]:
-        """One worker-loop flush; the base service has a single worker,
-        so this is plain :meth:`flush` (the sharded tier overrides it to
-        flush without the global lock, on a per-worker interpreter)."""
-        return self.flush()
 
     # ------------------------------------------------------------------ #
     # Observability

@@ -11,13 +11,13 @@ query, capping the servable inventory at what fits in RAM.
 This module lifts that cap with a second tier:
 
 * **L1** is the existing in-memory
-  :class:`~repro.serving.shard.ShardedRegionCache` — packed stacks,
-  one-matmul membership scans, per-shard locks.
+  :class:`~repro.serving.cache.RegionCache` — packed stacks and
+  one-matmul membership scans.
 * **L2** (:class:`SegmentStore`) is an append-only, memory-mapped
   on-disk segment store.  The segments *are* the log: each record is a
   self-describing packed ``(D, B)`` region, CRC-framed (so a torn tail
   from a crash mid-append is detected and ignored) and carrying its
-  :func:`~repro.serving.shard.region_signature` in the frame header.
+  :func:`region_signature` in the frame header.
   By Theorem 2 a record never changes after its fsync, so the published
   ``index.json`` holds no per-record rows — only a *watermark* (publish
   epoch, segment list, per-segment published tails, the recency
@@ -88,10 +88,12 @@ from repro.serving.index import (
     RegionSignIndex,
     check_index_bits,
 )
-from repro.serving.shard import ShardedRegionCache, region_signature
 from repro.utils.validation import check_positive
 
 __all__ = [
+    "region_signature",
+    "signature_of",
+    "SIGNATURE_DECIMALS",
     "SegmentStore",
     "L2ReaderCache",
     "TieredRegionStore",
@@ -100,6 +102,12 @@ __all__ = [
     "INDEX_VERSION",
     "DEFAULT_COMPACT_RATIO",
 ]
+
+#: Quantization applied to ``(D, B)`` before hashing: two certified
+#: solves of the same region agree to solver rounding error (~1e-12), so
+#: rounding to 6 decimals collapses them to one signature while distinct
+#: regions (whose hyperplanes differ at O(1)) keep distinct signatures.
+SIGNATURE_DECIMALS: int = 6
 
 #: Framing magic of one L2 record; a scan stops (and the tail is
 #: truncated) at the first frame whose magic or CRC does not check out.
@@ -126,6 +134,69 @@ _META = struct.Struct("<3q")
 _INDEX_NAME = "index.json"
 _SEGMENT_FMT = "segment-{:05d}.seg"
 _WRITER_LOCK_NAME = "writer.lock"
+
+
+def region_signature(
+    target_class: int,
+    pairs: tuple[tuple[int, int], ...],
+    weights: np.ndarray,
+    intercepts: np.ndarray,
+    *,
+    decimals: int = SIGNATURE_DECIMALS,
+) -> int:
+    """A stable integer signature of a region's certified parameters.
+
+    Theorem 2 makes the certified ``(D, B)`` stack a *canonical name*
+    for its activation region — every certified solve inside the region
+    recovers the same exact parameters — so hashing the (quantized)
+    stack yields a key that is identical for same-region solves and,
+    with probability 1 over continuous weight distributions, distinct
+    across regions.  The L2 tier keys its records by it.
+
+    Uses ``zlib.crc32`` over the quantized float bytes, *not* Python's
+    salted ``hash``, so the signature is stable across processes — a
+    record written by one process is recognised by the next.
+
+    Parameters
+    ----------
+    target_class:
+        The class the region's parameters were solved for.
+    pairs:
+        The sorted ``(c, c')`` pair set (part of the identity: the same
+        geometry solved for a different class pair set is a different
+        serving entry).
+    weights:
+        ``(P, d)`` stacked pair weights in ``pairs`` order.
+    intercepts:
+        ``(P,)`` matching intercepts.
+    decimals:
+        Quantization before hashing (see :data:`SIGNATURE_DECIMALS`).
+
+    Returns
+    -------
+    A non-negative int (CRC-32 range).
+    """
+    w = np.round(np.asarray(weights, dtype=np.float64), decimals) + 0.0
+    b = np.round(np.asarray(intercepts, dtype=np.float64), decimals) + 0.0
+    header = np.asarray(
+        [target_class, *(idx for pair in pairs for idx in pair)],
+        dtype=np.int64,
+    )
+    return zlib.crc32(header.tobytes() + w.tobytes() + b.tobytes())
+
+
+def signature_of(interpretation: Interpretation | RegionCacheEntry) -> int:
+    """:func:`region_signature` of a certified interpretation (or of a
+    cache entry, which carries the same parameters)."""
+    pairs = tuple(sorted(interpretation.pair_estimates))
+    W = np.stack(
+        [interpretation.pair_estimates[p].weights for p in pairs]
+    )
+    b = np.asarray(
+        [interpretation.pair_estimates[p].intercept for p in pairs],
+        dtype=np.float64,
+    )
+    return region_signature(interpretation.target_class, pairs, W, b)
 
 
 @dataclass(slots=True)
@@ -793,8 +864,8 @@ class SegmentStore:
         source of truth: any open, and any reader catching up to a later
         publish, adopts every whole frame it finds.  A crash at any
         point therefore leaves a loadable store (a torn frame is
-        truncated away), and the append hot path — which runs under an
-        L1 shard lock when demotions drive it — costs one write + one
+        truncated away), and the append hot path — which runs inside an
+        L1 insert when demotions drive it — costs one write + one
         fsync.
         """
         self._require_writable("append")
@@ -1154,7 +1225,7 @@ class TieredStoreStats:
     Attributes
     ----------
     l1:
-        The L1 :class:`~repro.serving.shard.ShardedCacheStats` rendered
+        The L1 :class:`~repro.serving.cache.CacheStats` rendered
         as its ``as_dict()`` (documented under its own glossary; note
         L1 ``insertions`` include promotions from L2).
     l1_hits:
@@ -1169,7 +1240,7 @@ class TieredStoreStats:
         on disk refresh the disk record's recency instead).
     promotions:
         Disk-served regions re-installed into L1 (equals ``l2_hits``
-        minus promotions deduplicated by a concurrent worker).
+        unless L1 already held a duplicate of the region).
     l2_entries:
         Live records on disk.
     l2_live_bytes / l2_total_bytes:
@@ -1221,27 +1292,27 @@ class TieredStoreStats:
 
 
 class TieredRegionStore:
-    """Two-tier region store: sharded RAM L1 demoting to a mmap'd disk L2.
+    """Two-tier region store: RAM L1 demoting to a mmap'd disk L2.
 
-    Drop-in for the ``cache``/``store`` surface of the interpretation
-    services (``lookup`` / ``insert`` / ``stats`` / ``save`` / ``load``):
-    an L1 hit behaves exactly like the sharded cache; an L1 miss
-    scans the disk tier, promotes the hit back into RAM, and
-    serves it bitwise — so turning L2 on can change *cost*, never
-    *content*.  Thread-safe: concurrent flush workers may look up and
-    insert simultaneously (L2 state mutates under one store lock; the
-    lock is never held across calls into L1, so the shard-lock →
-    store-lock ordering is acyclic).
+    Drop-in for the ``store`` surface of the interpretation service
+    (``lookup`` / ``insert`` / ``stats`` / ``save`` / ``load``): an L1
+    hit behaves exactly like :class:`RegionCache`; an L1 miss scans the
+    disk tier, promotes the hit back into RAM, and serves it bitwise —
+    so turning L2 on can change *cost*, never *content*.  Like
+    :class:`L2ReaderCache`, the store relies on its caller for
+    serialization: the service's flush lock admits one lookup/insert at
+    a time.  L2 state additionally mutates under one store lock, which
+    is never held across calls into L1 (an L1 insert may evict, and the
+    eviction's demote callback takes the store lock).
 
     Parameters
     ----------
     directory:
         The L2 segment directory (created if missing; reopening a
         directory resumes its persisted inventory).
-    n_shards, max_entries, tol, max_candidates, floor, eviction, ttl_s,
-    clock:
-        L1 configuration, as :class:`ShardedRegionCache` (``max_entries``
-        is the *RAM* bound; the disk tier holds the overflow).
+    max_entries, tol, max_candidates, floor, eviction, ttl_s, clock:
+        L1 configuration, as :class:`RegionCache` (``max_entries`` is
+        the *RAM* bound; the disk tier holds the overflow).
     l2_max_bytes:
         Live-byte budget of the disk tier (``None`` = unbounded).
     compact_ratio:
@@ -1250,8 +1321,8 @@ class TieredRegionStore:
         Fsync appended records before indexing them (durability; tests
         may disable for speed).
     region_index:
-        Enable the hyperplane-sign pruning index in *both* tiers: each
-        L1 shard and the L2 segment store shortlist candidates before
+        Enable the hyperplane-sign pruning index in *both* tiers: the
+        L1 cache and the L2 segment store shortlist candidates before
         their exact membership matmuls, falling back to the full scan
         on a shortlist miss — identical hit/miss behavior, sub-linear
         lookup cost (the ``serve --region-index`` flag).
@@ -1279,7 +1350,7 @@ class TieredRegionStore:
     >>> api = PredictionAPI(SoftmaxRegression(seed=0).fit(ds.X, ds.y))
     >>> interp = OpenAPIInterpreter(seed=0).interpret(api, ds.X[0])
     >>> tmp = tempfile.TemporaryDirectory()
-    >>> store = TieredRegionStore(tmp.name, n_shards=2, max_entries=8)
+    >>> store = TieredRegionStore(tmp.name, max_entries=8)
     >>> store.insert(interp)
     True
     >>> y = api.predict_proba(ds.X[0])
@@ -1298,7 +1369,6 @@ class TieredRegionStore:
         self,
         directory,
         *,
-        n_shards: int = 4,
         max_entries: int = 512,
         tol: float = DEFAULT_MEMBERSHIP_TOL,
         max_candidates: int | None = None,
@@ -1332,8 +1402,7 @@ class TieredRegionStore:
             index_shortlist=index_shortlist,
             backend=self.backend,
         )
-        self._l1 = ShardedRegionCache(
-            n_shards=n_shards,
+        self._l1 = RegionCache(
             max_entries=max_entries,
             tol=tol,
             max_candidates=max_candidates,
@@ -1354,7 +1423,7 @@ class TieredRegionStore:
 
     # ------------------------------------------------------------------ #
     @property
-    def l1(self) -> ShardedRegionCache:
+    def l1(self) -> RegionCache:
         """The RAM tier (read-only view, for observability)."""
         return self._l1
 
@@ -1369,25 +1438,14 @@ class TieredRegionStore:
         resident in both counts once)."""
         with self._lock:
             l2_sigs = self._l2.live_signatures()
-        return len(self._l1) + len(l2_sigs - self._l1_signatures())
+        return _count_distinct(self._l1, l2_sigs)
 
     def _l1_entries(self) -> list[tuple[RegionCacheEntry, tuple]]:
-        """Snapshot every L1-resident (entry, pairs) under the shard
-        locks — concurrent flush workers keep mutating the shards."""
-        pending: list[tuple[RegionCacheEntry, tuple]] = []
-        for si, shard in enumerate(self._l1.shards):
-            with self._l1._locks[si]:
-                pending.extend(
-                    (entry, shard._group_of[entry.key][1])
-                    for entry in shard._entries.values()
-                )
-        return pending
-
-    def _l1_signatures(self) -> set[int]:
-        return {
-            _signature_of_entry(entry, pairs)
-            for entry, pairs in self._l1_entries()
-        }
+        """Every L1-resident (entry, pairs), in recency order."""
+        return [
+            (entry, self._l1._pairs_of(entry))
+            for entry in self._l1._entries.values()
+        ]
 
     # ------------------------------------------------------------------ #
     # The serving surface
@@ -1529,8 +1587,8 @@ class TieredRegionStore:
         """Snapshot every live region (both tiers) to one ``.npz``.
 
         The format is :meth:`RegionCache.save`'s, so a tiered snapshot
-        warm-starts any tier — monolithic, sharded, or another tiered
-        store (where :meth:`load` bootstraps it into L2).  Regions
+        warm-starts either tier — a :class:`RegionCache` or another
+        tiered store (where :meth:`load` bootstraps it into L2).  Regions
         resident in both tiers are written once, from their L1 copy
         (bitwise identical to the disk copy by construction).
 
@@ -1542,7 +1600,7 @@ class TieredRegionStore:
         for entry, pairs in self._l1_entries():
             entries.append(entry)
             pairs_by_id[id(entry)] = pairs
-            seen.add(_signature_of_entry(entry, pairs))
+            seen.add(signature_of(entry))
         with self._lock:
             for signature in self._l2.live_signatures() - seen:
                 record = self._l2.read(signature)
@@ -1603,14 +1661,11 @@ class TieredRegionStore:
         return loaded
 
 
-def _signature_of_entry(
-    entry: RegionCacheEntry, pairs: tuple[tuple[int, int], ...]
-) -> int:
-    W = np.stack([entry.pair_estimates[p].weights for p in pairs])
-    b = np.asarray(
-        [entry.pair_estimates[p].intercept for p in pairs], dtype=np.float64
-    )
-    return region_signature(entry.target_class, pairs, W, b)
+def _count_distinct(l1: RegionCache, l2_signatures: set[int]) -> int:
+    """Distinct regions over an L1 cache and a set of live L2
+    signatures: a promoted region resident in both counts once."""
+    l1_signatures = {signature_of(e) for e in l1._entries.values()}
+    return len(l1) + len(l2_signatures - l1_signatures)
 
 
 def _interpretation_from_record(record: tuple, method: str) -> Interpretation:
@@ -1662,9 +1717,9 @@ class L2ReaderCache:
 
     Drop-in for the ``cache`` surface of
     :class:`~repro.serving.service.InterpretationService`
-    (``lookup`` / ``insert`` / ``stats``).  Thread-safe for the
-    service's flush workers: L2 state mutates under one lock, and the
-    lock is never held across calls into L1.
+    (``lookup`` / ``insert`` / ``stats``).  Serialized by the service's
+    flush lock; L2 state additionally mutates under one lock, which is
+    never held across calls into L1.
     """
 
     #: Same ``method`` tag as every other serving tier — by Theorem 2
@@ -1715,8 +1770,11 @@ class L2ReaderCache:
         return self._l2.epoch
 
     def __len__(self) -> int:
+        """Distinct regions across both tiers (a promoted region
+        resident in both counts once, as in :class:`TieredRegionStore`)."""
         with self._lock:
-            return len(self._l1) + len(self._l2)
+            l2_sigs = self._l2.live_signatures()
+        return _count_distinct(self._l1, l2_sigs)
 
     def lookup(self, x0, y0, target_class: int):
         """Serve from private RAM, else from the shared disk tier.

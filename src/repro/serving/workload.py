@@ -12,21 +12,19 @@ service with skewed workloads:
   time, the regime where bounded LRU caches must track a moving hot set
   (the eviction benchmark's workload);
 * :func:`multi_tenant_workload` — several tenants, each with its own
-  anchor pool and its own skew, interleaved (shard balance stress);
+  anchor pool and its own skew, interleaved;
 * :func:`churn_workload` — a sliding window of active anchors with
   newest-is-hottest popularity, so regions *retire* and the cache must
   turn its inventory over.
 
-Two benchmark runners share these workloads:
+The benchmark runners share these workloads:
 
 * :func:`run_throughput_benchmark` / :func:`run_standard_benchmark` —
   the PR 1 cache-on/off comparison (CLI ``bench-serve``);
-* :func:`run_sharded_benchmark` — the bounded-memory/sharded tier gates
-  (CLI ``bench-shard``, ``benchmarks/bench_sharded_serving.py``):
-  a bounded sharded cache must stay within 10% of the unbounded hit
-  rate at 25% of the resident entries on the drifting-Zipf workload,
-  and the per-shard membership scan must be sub-linear vs. the
-  monolithic scan at the same total inventory.
+* :func:`run_tiered_store_benchmark` — the tiered store's hit retention
+  and bounded disk growth (CLI ``bench-store``);
+* :func:`run_region_index_benchmark` and :func:`run_gateway_benchmark`
+  — the sign-index scaling and multi-process fleet gates.
 
 Every arm replay audits exactness: cache-served answers must be bitwise
 one of the fresh certified solves of the run, and every answer must
@@ -48,16 +46,11 @@ import numpy as np
 from repro.api.service import PredictionAPI
 from repro.api.transport import DirectTransport, QueryBroker
 from repro.core.engine import EngineBenchRow, run_engine_benchmark
-from repro.core.types import CoreParameterEstimate
 from repro.exceptions import ValidationError
 from repro.models.base import PiecewiseLinearModel
 from repro.models.openbox import ground_truth_decision_features
-from repro.serving.cache import RegionCache, RegionCacheEntry, pack_snapshot
+from repro.serving.cache import RegionCache
 from repro.serving.service import InterpretationService
-from repro.serving.shard import (
-    ShardedInterpretationService,
-    ShardedRegionCache,
-)
 from repro.serving.store import TieredRegionStore
 from repro.utils.rng import SeedLike, as_generator
 
@@ -73,13 +66,6 @@ __all__ = [
     "DEFAULT_SPEEDUP_THRESHOLD",
     "SPEEDUP_RETENTION",
     "MIN_SPEEDUP_FLOOR",
-    "ScanScalingRow",
-    "ShardedServingReport",
-    "run_sharded_benchmark",
-    "sharded_gate_failures",
-    "SHARDED_HIT_RATE_RATIO_THRESHOLD",
-    "SHARDED_SCAN_RATIO_THRESHOLD",
-    "BOUNDED_RESIDENT_FRACTION",
     "TieredStoreReport",
     "run_tiered_store_benchmark",
     "tiered_gate_failures",
@@ -117,25 +103,9 @@ SPEEDUP_RETENTION: float = 0.5
 #: regardless of hardware.
 MIN_SPEEDUP_FLOOR: float = 1.5
 
-#: Bounded-memory gate: the bounded sharded cache must retain at least
-#: this fraction of the unbounded cache's hit rate on the drifting-Zipf
-#: workload while holding :data:`BOUNDED_RESIDENT_FRACTION` of its
-#: resident entries.
-SHARDED_HIT_RATE_RATIO_THRESHOLD: float = 0.9
-
-#: Scan-scaling gate: the slowest shard's membership scan must take at
-#: most this fraction of the monolithic scan at the same total inventory
-#: (sub-linear; with 4 shards the measured ratio is typically ~0.3).
-SHARDED_SCAN_RATIO_THRESHOLD: float = 0.75
-
-#: Resident-entry budget of the bounded arm, as a fraction of the
-#: unbounded arm's final inventory.
-BOUNDED_RESIDENT_FRACTION: float = 0.25
-
 #: L1 (RAM) resident-entry budget of the tiered-store arm, as a fraction
-#: of the all-in-RAM arm's final inventory — deliberately far below
-#: :data:`BOUNDED_RESIDENT_FRACTION`, because the disk tier is supposed
-#: to absorb the difference.
+#: of the all-in-RAM arm's final inventory — deliberately small, because
+#: the disk tier is supposed to absorb the difference.
 TIERED_L1_RESIDENT_FRACTION: float = 0.10
 
 #: Tiered-store gate: at 10% L1 residency the tiered arm must retain at
@@ -228,7 +198,8 @@ def drifting_zipf_workload(
     every ``drift_interval`` requests: yesterday's hottest profile cools
     down, a previously cold one heats up.  This is the regime where a
     bounded LRU cache has to *track* the hot set rather than memorize
-    it — the workload :func:`run_sharded_benchmark` gates eviction on.
+    it — the workload :func:`run_tiered_store_benchmark` gates
+    demotion and promotion on.
 
     Parameters
     ----------
@@ -292,8 +263,7 @@ def multi_tenant_workload(
     slice under a tenant-specific Zipf ranking (an independent random
     permutation per tenant, so every tenant has a *different* hot set).
     The aggregate stream is what a shared serving tier actually sees:
-    several unrelated hot sets competing for cache residency and shard
-    capacity.
+    several unrelated hot sets competing for cache residency.
 
     Returns
     -------
@@ -534,15 +504,12 @@ def _run_arm(
     *,
     label: str,
     service_factory: Callable[[PredictionAPI], InterpretationService],
-    use_workers: bool = False,
     n_checkpoints: int = 10,
 ) -> tuple[ThroughputArm, bool, InterpretationService]:
     """Replay the workload through one service; audit every answer.
 
-    The bitwise audit is two-pass (collect every fresh certified solve,
-    then require each cache-served answer to be bitwise one of them) so
-    it stays valid when concurrent workers reorder processing relative
-    to the request stream.
+    The bitwise audit is two-pass: collect every fresh certified solve,
+    then require each cache-served answer to be bitwise one of them.
     """
     api = PredictionAPI(model)
     service = service_factory(api)
@@ -551,8 +518,6 @@ def _run_arm(
     trajectory: list[float] = []
     responses = []
     served = 0
-    if use_workers:
-        service.start()
     start = time.perf_counter()
     for bound in checkpoints:
         chunk = requests[served:bound]
@@ -564,8 +529,6 @@ def _run_arm(
             stats.cache_hits / stats.n_requests if stats.n_requests else 0.0
         )
     elapsed = time.perf_counter() - start
-    if use_workers:
-        service.stop()
 
     # Exactness audit — every served answer against the OpenBox ground
     # truth, and cache hits bitwise against the solve that seeded them.
@@ -802,452 +765,6 @@ def run_standard_benchmark(
 
 
 # --------------------------------------------------------------------- #
-# Sharded / bounded-memory serving benchmark
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ScanScalingRow:
-    """Per-shard vs monolithic membership-scan timing at equal inventory.
-
-    ``ratio = per_shard_scan_s / monolithic_scan_s``; sub-linear sharding
-    means a ratio well below 1 (ideally ``1 / n_shards`` plus fixed
-    per-call overhead).  ``per_shard_scan_s`` is the *slowest* shard —
-    the critical path when shards are scanned by concurrent workers.
-    """
-
-    n_entries: int
-    n_shards: int
-    d: int
-    n_pairs: int
-    monolithic_scan_s: float
-    per_shard_scan_s: float
-    ratio: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n_entries": self.n_entries,
-            "n_shards": self.n_shards,
-            "d": self.d,
-            "n_pairs": self.n_pairs,
-            "monolithic_scan_s": self.monolithic_scan_s,
-            "per_shard_scan_s": self.per_shard_scan_s,
-            "ratio": self.ratio,
-        }
-
-
-@dataclass(frozen=True)
-class ShardedServingReport:
-    """The bounded-memory comparison plus scan scaling and snapshot audit.
-
-    ``unbounded``/``bounded`` replay the identical drifting-Zipf stream;
-    ``multiworker`` re-replays the bounded configuration through the
-    multi-worker sharded service (started loop, backpressured queue) to
-    exercise the concurrent path end to end.  ``warm_start_hit_rate`` is
-    the hit rate of a *fresh* service whose cache was loaded from the
-    bounded arm's snapshot, replaying the tail of the stream — the
-    operator's warm-start workflow in miniature.
-    """
-
-    unbounded: ThroughputArm
-    bounded: ThroughputArm
-    multiworker: ThroughputArm
-    unbounded_cache: dict
-    bounded_cache: dict
-    unbounded_service: dict
-    bounded_service: dict
-    n_shards: int
-    n_workers: int
-    eviction: str
-    bounded_max_entries: int
-    resident_fraction: float
-    hit_rate_ratio: float
-    warm_start_hit_rate: float
-    snapshot_entries: int
-    scan: ScanScalingRow
-    bitwise_consistent: bool
-    snapshot_bitwise_consistent: bool
-
-    def as_text(self) -> str:
-        per_shard = ", ".join(
-            f"{100 * r:.1f}%" for r in self.bounded_cache["per_shard_hit_rate"]
-        )
-        lines = [
-            "sharded serving tier: bounded sharded cache vs unbounded "
-            "monolithic (drifting-Zipf workload)",
-            "",
-            _arm_header(),
-            _arm_row(self.unbounded),
-            _arm_row(self.bounded),
-            _arm_row(self.multiworker),
-            "",
-            f"bounded cache:      {self.bounded_max_entries} entries "
-            f"({100 * self.resident_fraction:.0f}% of unbounded resident), "
-            f"{self.n_shards} shards, {self.eviction} eviction, "
-            f"{self.bounded_cache['evictions']} evictions, "
-            f"{self.bounded_cache['resident_bytes']} resident bytes",
-            f"hit-rate retention (bounded / unbounded): "
-            f"{self.hit_rate_ratio:.3f}",
-            f"per-shard hit rates:                      {per_shard}",
-            f"per-shard scan vs monolithic "
-            f"(m={self.scan.n_entries}, S={self.scan.n_shards}): "
-            f"{1e6 * self.scan.per_shard_scan_s:.0f}us vs "
-            f"{1e6 * self.scan.monolithic_scan_s:.0f}us "
-            f"(ratio {self.scan.ratio:.2f})",
-            f"snapshot warm start: {self.snapshot_entries} entries, "
-            f"tail-replay hit rate {100 * self.warm_start_hit_rate:.1f}%",
-            f"cache-served bitwise == region solve:     "
-            f"{self.bitwise_consistent}",
-            f"snapshot-served bitwise == saved regions: "
-            f"{self.snapshot_bitwise_consistent}",
-        ]
-        return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        """JSON-safe rendering (the ``BENCH_sharded_serving.json`` CI
-        artifact; stats sub-dict key sets pinned by the schema test)."""
-        return {
-            "unbounded": self.unbounded.as_dict(),
-            "bounded": self.bounded.as_dict(),
-            "multiworker": self.multiworker.as_dict(),
-            "unbounded_cache": self.unbounded_cache,
-            "bounded_cache": self.bounded_cache,
-            "unbounded_service": self.unbounded_service,
-            "bounded_service": self.bounded_service,
-            "n_shards": self.n_shards,
-            "n_workers": self.n_workers,
-            "eviction": self.eviction,
-            "bounded_max_entries": self.bounded_max_entries,
-            "resident_fraction": self.resident_fraction,
-            "hit_rate_ratio": self.hit_rate_ratio,
-            "warm_start_hit_rate": self.warm_start_hit_rate,
-            "snapshot_entries": self.snapshot_entries,
-            "scan": self.scan.as_dict(),
-            "bitwise_consistent": self.bitwise_consistent,
-            "snapshot_bitwise_consistent": self.snapshot_bitwise_consistent,
-        }
-
-
-def _synthetic_scan_entries(
-    rng: np.random.Generator, m: int, d: int, n_pairs: int
-) -> list[tuple[RegionCacheEntry, tuple[tuple[int, int], ...]]]:
-    """Random affine region entries for the scan-timing microbench.
-
-    Installed via the snapshot path (no duplicate scan), so filling a
-    cache with ``m`` entries is O(m) instead of O(m^2).
-    """
-    pairs = tuple((0, j + 1) for j in range(n_pairs))
-    entries = []
-    for i in range(m):
-        W = rng.normal(size=(n_pairs, d))
-        b = rng.normal(size=n_pairs)
-        estimates = {
-            (0, j + 1): CoreParameterEstimate(
-                c=0, c_prime=j + 1, weights=W[j], intercept=float(b[j]),
-                certified=True,
-            )
-            for j in range(n_pairs)
-        }
-        entries.append(
-            (
-                RegionCacheEntry(
-                    key=i,
-                    x0=rng.normal(size=d),
-                    target_class=0,
-                    pair_estimates=estimates,
-                    decision_features=W.mean(axis=0),
-                    final_edge=1.0,
-                ),
-                pairs,
-            )
-        )
-    return entries
-
-
-def _time_scans(
-    scan: Callable[[np.ndarray, np.ndarray, int], object],
-    probes: np.ndarray,
-    y: np.ndarray,
-    *,
-    repeats: int = 3,
-) -> float:
-    """Best-of-``repeats`` mean seconds per membership scan."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for x in probes:
-            scan(x, y, 0)
-        best = min(best, (time.perf_counter() - t0) / probes.shape[0])
-    return best
-
-
-def measure_scan_scaling(
-    *,
-    n_entries: int = 8192,
-    n_shards: int = 4,
-    d: int = 32,
-    n_pairs: int = 4,
-    n_probes: int = 32,
-    seed: int = 0,
-) -> ScanScalingRow:
-    """Time the packed membership scan: one monolithic stack vs shards.
-
-    Both caches hold the *same* ``n_entries`` synthetic regions; the
-    monolithic scan covers all of them in one matmul, each shard covers
-    ``n_entries / n_shards``.  Reported ``per_shard_scan_s`` is the
-    slowest shard (the critical path under concurrent workers).
-    """
-    rng = np.random.default_rng(seed)
-    records = _synthetic_scan_entries(rng, n_entries, d, n_pairs)
-    # Fill both caches through the production snapshot path: O(m)
-    # install (no duplicate scan) and the *same* signature routing the
-    # sharded tier uses in service — the benchmark cannot drift from
-    # production placement.
-    pairs_by_id = {id(entry): pairs for entry, pairs in records}
-    arrays = pack_snapshot(
-        [entry for entry, _ in records],
-        pairs_of=lambda entry: pairs_by_id[id(entry)],
-    )
-    with tempfile.NamedTemporaryFile(suffix=".npz", delete=False) as tmp:
-        snapshot_file = Path(tmp.name)
-    np.savez_compressed(snapshot_file, **arrays)
-    mono = RegionCache(max_entries=n_entries)
-    mono.load(snapshot_file)
-    sharded = ShardedRegionCache(n_shards=n_shards, max_entries=n_entries)
-    sharded.load(snapshot_file)
-    snapshot_file.unlink()
-
-    probes = rng.normal(size=(n_probes, d))
-    y = np.full(n_pairs + 1, 1.0 / (n_pairs + 1))
-    mono._scan(probes[0], y, 0)  # warm-up: builds the packed stacks
-    for shard in sharded._shards:
-        shard._scan(probes[0], y, 0)
-
-    mono_s = _time_scans(mono._scan, probes, y)
-    per_shard_s = max(
-        _time_scans(shard._scan, probes, y) for shard in sharded._shards
-    )
-    return ScanScalingRow(
-        n_entries=n_entries,
-        n_shards=n_shards,
-        d=d,
-        n_pairs=n_pairs,
-        monolithic_scan_s=mono_s,
-        per_shard_scan_s=per_shard_s,
-        ratio=per_shard_s / mono_s if mono_s > 0 else float("inf"),
-    )
-
-
-def run_sharded_benchmark(
-    *,
-    n_requests: int = 600,
-    n_anchors: int = 48,
-    n_shards: int = 4,
-    n_workers: int = 2,
-    eviction: str = "lru",
-    exponent: float = 2.2,
-    seed: int = 0,
-    tiny: bool = False,
-    snapshot_path: str | None = None,
-) -> tuple[ShardedServingReport, tuple[float, float]]:
-    """The bounded-memory sharded serving benchmark (single source of
-    truth for CLI ``bench-shard`` and
-    ``benchmarks/bench_sharded_serving.py``).
-
-    Replays one drifting-Zipf stream through (a) an unbounded monolithic
-    cache, (b) a sharded cache bounded to
-    :data:`BOUNDED_RESIDENT_FRACTION` of the unbounded arm's final
-    inventory, and (c) the multi-worker sharded service at the same
-    bound; measures per-shard scan scaling against the monolithic scan
-    at equal inventory; and round-trips the bounded cache through a
-    snapshot, replaying the stream tail from the warm start.
-
-    Returns
-    -------
-    (report, (min_hit_rate_ratio, max_scan_ratio)):
-        The report plus the gates the caller should enforce
-        (:data:`SHARDED_HIT_RATE_RATIO_THRESHOLD` /
-        :data:`SHARDED_SCAN_RATIO_THRESHOLD` at standard scale; ``tiny``
-        gates correctness only).
-    """
-    if tiny:
-        n_requests = min(n_requests, 120)
-        n_anchors = min(n_anchors, 16)
-        n_features, epochs = 5, 40
-        scan_entries, scan_probes = 512, 8
-        thresholds = (0.0, float("inf"))
-    else:
-        n_features, epochs = 8, 80
-        scan_entries, scan_probes = 8192, 32
-        thresholds = (
-            SHARDED_HIT_RATE_RATIO_THRESHOLD,
-            SHARDED_SCAN_RATIO_THRESHOLD,
-        )
-    model, X = _train_bench_model(
-        n_features=n_features, epochs=epochs, seed=seed
-    )
-    anchors = X[:n_anchors]
-    requests = drifting_zipf_workload(
-        anchors, n_requests, exponent=exponent, drift_step=3, seed=seed
-    )
-
-    unbounded, bitwise_a, unbounded_service = _run_arm(
-        model, requests, label="unbounded",
-        service_factory=lambda api: InterpretationService(
-            api, cache=RegionCache(max_entries=1_000_000),
-            max_batch_size=8, seed=seed,
-        ),
-    )
-    unbounded_stats = unbounded_service.cache.stats()
-    bounded_max_entries = max(
-        n_shards, int(np.ceil(unbounded_stats.size * BOUNDED_RESIDENT_FRACTION))
-    )
-
-    def bounded_cache_factory():
-        # The TTL arm measures *capacity* retention under the ttl policy
-        # machinery (leases, lazy purge); the lifetime is far above any
-        # replay duration so the gate never depends on machine speed —
-        # actual expiry behavior is pinned deterministically in
-        # tests/test_shard.py with an injected clock.
-        return ShardedRegionCache(
-            n_shards=n_shards,
-            max_entries=bounded_max_entries,
-            eviction=eviction,
-            ttl_s=None if eviction == "lru" else 3600.0,
-        )
-
-    bounded, bitwise_b, bounded_service = _run_arm(
-        model, requests, label="bounded",
-        service_factory=lambda api: ShardedInterpretationService(
-            api, n_workers=1, cache=bounded_cache_factory(),
-            max_batch_size=8, seed=seed,
-        ),
-    )
-    multiworker, bitwise_c, _ = _run_arm(
-        model, requests, label="multiworker",
-        service_factory=lambda api: ShardedInterpretationService(
-            api, n_workers=n_workers, cache=bounded_cache_factory(),
-            max_batch_size=8, max_queue=256, seed=seed,
-        ),
-        use_workers=True,
-    )
-
-    hit_rate_ratio = (
-        bounded.hit_rate / unbounded.hit_rate
-        if unbounded.hit_rate > 0
-        else float("inf")
-    )
-
-    # Snapshot round trip: persist the bounded cache, warm-start a fresh
-    # sharded cache from it, and replay the stream tail.  Served answers
-    # must be bitwise among the saved decision-feature arrays.
-    saved_features = {
-        entry.decision_features.tobytes()
-        for shard in bounded_service.cache.shards
-        for entry in shard._entries.values()
-    }
-    if snapshot_path is None:
-        tmp = tempfile.NamedTemporaryFile(
-            suffix=".npz", delete=False
-        )
-        tmp.close()
-        snapshot_file = Path(tmp.name)
-    else:
-        snapshot_file = Path(snapshot_path)
-    snapshot_entries = bounded_service.cache.save(snapshot_file)
-    warm_cache = bounded_cache_factory()
-    warm_cache.load(snapshot_file)
-    if snapshot_path is None:
-        snapshot_file.unlink()
-    warm_api = PredictionAPI(model)
-    warm_service = ShardedInterpretationService(
-        warm_api, n_workers=1, cache=warm_cache, max_batch_size=8, seed=seed
-    )
-    tail = requests[-min(64, n_requests):]
-    warm_responses = warm_service.interpret_many(tail)
-    # A warm-replay hit is served either from a snapshot region or from a
-    # region the replay itself just solved; both sources must be bitwise.
-    warm_fresh = {
-        r.interpretation.decision_features.tobytes()
-        for r in warm_responses
-        if r.ok and not r.served_from_cache
-    }
-    snapshot_ok = all(
-        r.interpretation.decision_features.tobytes()
-        in (saved_features | warm_fresh)
-        for r in warm_responses
-        if r.ok and r.served_from_cache
-    )
-    warm_stats = warm_service.stats()
-    warm_start_hit_rate = warm_stats.hit_rate
-
-    scan = measure_scan_scaling(
-        n_entries=scan_entries, n_shards=n_shards,
-        n_probes=scan_probes, seed=seed,
-    )
-    report = ShardedServingReport(
-        unbounded=unbounded,
-        bounded=bounded,
-        multiworker=multiworker,
-        unbounded_cache=unbounded_stats.as_dict(),
-        bounded_cache=bounded_service.cache.stats().as_dict(),
-        unbounded_service=unbounded_service.stats().as_dict(),
-        bounded_service=bounded_service.stats().as_dict(),
-        n_shards=n_shards,
-        n_workers=n_workers,
-        eviction=eviction,
-        bounded_max_entries=bounded_max_entries,
-        resident_fraction=BOUNDED_RESIDENT_FRACTION,
-        hit_rate_ratio=hit_rate_ratio,
-        warm_start_hit_rate=warm_start_hit_rate,
-        snapshot_entries=snapshot_entries,
-        scan=scan,
-        bitwise_consistent=bitwise_a and bitwise_b and bitwise_c,
-        snapshot_bitwise_consistent=snapshot_ok,
-    )
-    return report, thresholds
-
-
-def sharded_gate_failures(
-    report: ShardedServingReport,
-    *,
-    min_hit_rate_ratio: float,
-    max_scan_ratio: float,
-) -> list[str]:
-    """Every reason ``report`` fails its gates (empty list = pass).
-
-    The single gate definition shared by
-    ``benchmarks/bench_sharded_serving.py`` and the CLI ``bench-shard``
-    subcommand: bitwise transparency always (snapshot round trip
-    included), plus the hit-rate-retention and scan-scaling thresholds
-    at standard scale.
-    """
-    failures = []
-    if not report.bitwise_consistent:
-        failures.append(
-            "a cache-served answer was not bitwise equal to a fresh "
-            "certified solve"
-        )
-    if not report.snapshot_bitwise_consistent:
-        failures.append(
-            "a snapshot-warm-started answer was not bitwise equal to a "
-            "saved region"
-        )
-    if report.hit_rate_ratio < min_hit_rate_ratio:
-        failures.append(
-            f"bounded cache retains {report.hit_rate_ratio:.3f} of the "
-            f"unbounded hit rate at "
-            f"{100 * report.resident_fraction:.0f}% resident entries "
-            f"(gate {min_hit_rate_ratio:.2f})"
-        )
-    if report.scan.ratio > max_scan_ratio:
-        failures.append(
-            f"per-shard scan is {report.scan.ratio:.2f}x the monolithic "
-            f"scan (gate {max_scan_ratio:.2f}; sub-linear sharding "
-            "requires well below 1)"
-        )
-    return failures
-
-
-# --------------------------------------------------------------------- #
 # Tiered (RAM L1 + disk L2) store benchmark
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
@@ -1270,7 +787,6 @@ class TieredStoreReport:
     all_ram_service: dict
     tiered_service: dict
     store: dict
-    n_shards: int
     l1_max_entries: int
     l1_resident_fraction: float
     hit_retention: float
@@ -1295,7 +811,7 @@ class TieredStoreReport:
             "",
             f"tiered L1 bound:     {self.l1_max_entries} entries "
             f"({100 * self.l1_resident_fraction:.0f}% of all-RAM "
-            f"resident), {self.n_shards} shards",
+            "resident)",
             f"tier traffic:        {store['l1_hits']} L1 hits, "
             f"{store['l2_hits']} L2 hits (promoted), "
             f"{store['l2_misses']} misses, {store['demotions']} demotions",
@@ -1326,7 +842,6 @@ class TieredStoreReport:
             "all_ram_service": self.all_ram_service,
             "tiered_service": self.tiered_service,
             "store": self.store,
-            "n_shards": self.n_shards,
             "l1_max_entries": self.l1_max_entries,
             "l1_resident_fraction": self.l1_resident_fraction,
             "hit_retention": self.hit_retention,
@@ -1353,7 +868,6 @@ def run_tiered_store_benchmark(
     *,
     n_requests: int = 600,
     n_anchors: int = 48,
-    n_shards: int = 4,
     exponent: float = 2.2,
     seed: int = 0,
     tiny: bool = False,
@@ -1362,7 +876,7 @@ def run_tiered_store_benchmark(
     """The tiered-store benchmark (single source of truth for CLI
     ``bench-store`` and ``benchmarks/bench_tiered_store.py``).
 
-    Replays one drifting-Zipf stream through (a) an all-in-RAM sharded
+    Replays one drifting-Zipf stream through (a) an all-in-RAM
     service with an unbounded cache and (b) the same service over a
     :class:`~repro.serving.store.TieredRegionStore` whose L1 holds only
     :data:`TIERED_L1_RESIDENT_FRACTION` of the all-RAM arm's final
@@ -1397,19 +911,13 @@ def run_tiered_store_benchmark(
 
     all_ram, bitwise_a, ram_service = _run_arm(
         model, requests, label="all-ram",
-        service_factory=lambda api: ShardedInterpretationService(
-            api, n_workers=1,
-            cache=ShardedRegionCache(
-                n_shards=n_shards, max_entries=1_000_000
-            ),
+        service_factory=lambda api: InterpretationService(
+            api, cache=RegionCache(max_entries=1_000_000),
             max_batch_size=8, seed=seed,
         ),
     )
     ram_resident = ram_service.cache.stats().size
-    l1_max_entries = max(
-        n_shards,
-        int(np.ceil(ram_resident * TIERED_L1_RESIDENT_FRACTION)),
-    )
+    l1_max_entries = int(np.ceil(ram_resident * TIERED_L1_RESIDENT_FRACTION))
 
     if l2_dir is None:
         tmp = tempfile.TemporaryDirectory()
@@ -1420,7 +928,6 @@ def run_tiered_store_benchmark(
     try:
         store = TieredRegionStore(
             base / "drifting",
-            n_shards=n_shards,
             max_entries=l1_max_entries,
         )
         if len(store):
@@ -1430,8 +937,8 @@ def run_tiered_store_benchmark(
             store.clear()
         tiered, bitwise_b, tiered_service = _run_arm(
             model, requests, label="tiered",
-            service_factory=lambda api: ShardedInterpretationService(
-                api, n_workers=1, store=store, max_batch_size=8, seed=seed,
+            service_factory=lambda api: InterpretationService(
+                api, store=store, max_batch_size=8, seed=seed,
             ),
         )
         store_stats = store.stats()
@@ -1456,17 +963,15 @@ def run_tiered_store_benchmark(
         )
         churn_store = TieredRegionStore(
             base / "churn",
-            n_shards=n_shards,
-            max_entries=max(2, n_shards),
+            max_entries=4,
             l2_max_bytes=churn_budget,
             compact_ratio=compact_ratio,
         )
         if len(churn_store):
             churn_store.clear()
         churn_api = PredictionAPI(model)
-        churn_service = ShardedInterpretationService(
-            churn_api, n_workers=1, store=churn_store,
-            max_batch_size=8, seed=seed,
+        churn_service = InterpretationService(
+            churn_api, store=churn_store, max_batch_size=8, seed=seed,
         )
         max_total = 0
         chunk = 16
@@ -1497,7 +1002,6 @@ def run_tiered_store_benchmark(
         all_ram_service=ram_service.stats().as_dict(),
         tiered_service=tiered_service.stats().as_dict(),
         store=store_stats.as_dict(),
-        n_shards=n_shards,
         l1_max_entries=l1_max_entries,
         l1_resident_fraction=TIERED_L1_RESIDENT_FRACTION,
         hit_retention=hit_retention,
@@ -1677,6 +1181,23 @@ class RegionIndexReport:
         }
 
 
+def _time_scans(
+    scan: Callable[[np.ndarray, np.ndarray, int], object],
+    probes: np.ndarray,
+    y: np.ndarray,
+    *,
+    repeats: int = 3,
+) -> float:
+    """Best-of-``repeats`` mean seconds per membership scan."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for x in probes:
+            scan(x, y, 0)
+        best = min(best, (time.perf_counter() - t0) / probes.shape[0])
+    return best
+
+
 def _synthetic_region_inventory(
     rng: np.random.Generator, m: int, d: int, n_pairs: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -1854,15 +1375,14 @@ def run_region_index_benchmark(
         for label, on in (("index-off", False), ("index-on", True)):
             store = TieredRegionStore(
                 Path(base) / label,
-                n_shards=2,
                 max_entries=l1_max_entries,
                 region_index=on,
                 index_bits=index_bits,
                 index_shortlist=index_shortlist,
             )
-            service = ShardedInterpretationService(
-                PredictionAPI(model), n_workers=1, store=store,
-                max_batch_size=8, seed=seed,
+            service = InterpretationService(
+                PredictionAPI(model), store=store, max_batch_size=8,
+                seed=seed,
             )
             responses = service.interpret_many(requests)
             # Same two-pass bitwise audit as _run_arm: every

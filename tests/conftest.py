@@ -22,6 +22,25 @@ from repro.models import (
 )
 
 
+class FakeClock:
+    """Deterministic monotonic clock for TTL tests."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def advance(self, dt: float) -> None:
+        self.now += dt
+
+    def __call__(self) -> float:
+        return self.now
+
+
+@pytest.fixture
+def fake_clock() -> FakeClock:
+    """A fresh :class:`FakeClock` at t = 0 (inject as a cache's ``clock``)."""
+    return FakeClock()
+
+
 @pytest.fixture(scope="session")
 def blobs3() -> Dataset:
     """Well-separated 3-class Gaussian blobs in 6 dimensions."""

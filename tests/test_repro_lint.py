@@ -111,7 +111,7 @@ class TestLockDiscipline:
     def test_subscripted_lock_expression_counts(self):
         findings, _ = lint_snippet(
             """
-            class Sharded:
+            class Striped:
                 def __init__(self):
                     self._hits = 0  # guarded-by: _locks
 
@@ -791,7 +791,6 @@ class TestRepositoryLintsClean:
             "src/repro/api/service.py",
             "src/repro/api/transport.py",
             "src/repro/serving/service.py",
-            "src/repro/serving/shard.py",
             "src/repro/serving/gateway.py",
             "src/repro/serving/store.py",
             "src/repro/core/backend.py",

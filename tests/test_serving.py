@@ -1,4 +1,11 @@
-"""Unit tests for the serving layer: cache, service, metrics, envelopes."""
+"""Unit tests for the serving layer: cache, service, metrics, envelopes.
+
+Also pins the cache's eviction transparency: a bounded cache may
+*forget* regions (costing extra solves) but must never *distort*
+answers — everything served from the region tier is bitwise a fresh
+certified solve, across LRU and TTL eviction, the tiered store's
+demotions, and a snapshot save -> load round trip.
+"""
 
 from __future__ import annotations
 
@@ -16,10 +23,12 @@ from repro.api import (
 )
 from repro.core import OpenAPIInterpreter, verify_interpretation
 from repro.exceptions import ValidationError
+from repro.models.openbox import ground_truth_decision_features
 from repro.serving import (
     InterpretationService,
     RegionCache,
     ServiceMetrics,
+    TieredRegionStore,
     zipf_clustered_workload,
 )
 
@@ -313,11 +322,9 @@ class TestEvictionPolicies:
         with pytest.raises(ValidationError, match="eviction"):
             RegionCache(eviction="fifo")
 
-    def test_ttl_expires_and_hit_refreshes_lease(self):
-        from tests.test_shard import FakeClock
-
+    def test_ttl_expires_and_hit_refreshes_lease(self, fake_clock):
         rng = np.random.default_rng(8)
-        clock = FakeClock()
+        clock = fake_clock
         cache = RegionCache(eviction="ttl", ttl_s=10.0, clock=clock)
         interp, W, b = self._interp(rng)
         cache.insert(interp)
@@ -331,11 +338,9 @@ class TestEvictionPolicies:
         stats = cache.stats()
         assert stats.evictions == 1 and stats.size == 0
 
-    def test_duplicate_insert_refreshes_ttl_lease(self):
+    def test_duplicate_insert_refreshes_ttl_lease(self, fake_clock):
         rng = np.random.default_rng(9)
-        from tests.test_shard import FakeClock
-
-        clock = FakeClock()
+        clock = fake_clock
         cache = RegionCache(eviction="ttl", ttl_s=10.0, clock=clock)
         interp, W, b = self._interp(rng)
         cache.insert(interp)
@@ -508,6 +513,16 @@ class TestServiceBasics:
         with pytest.raises(ValidationError):
             InterpretationService(relu_api_fresh, max_wait_s=-1.0)
 
+    def test_accepts_any_seedlike(self, relu_model, blobs3):
+        """The interpreter seed may be any SeedLike form, not just an
+        int (regression: int(seed) blew up on Generators)."""
+        for seed in (None, 3, np.random.default_rng(0),
+                     np.random.SeedSequence(5)):
+            service = InterpretationService(
+                PredictionAPI(relu_model), seed=seed
+            )
+            assert service.interpret(blobs3.X[0]).ok
+
 
 class TestServiceMetrics:
     def test_empty_snapshot(self):
@@ -571,6 +586,226 @@ class TestWorkload:
             zipf_clustered_workload(blobs3.X[:3], 10, jitter=-1.0)
         with pytest.raises(ValidationError):
             zipf_clustered_workload(np.ones(3), 10)
+
+
+def _random_interps(rng, n, d=5, n_pairs=2):
+    out = []
+    for _ in range(n):
+        W = rng.normal(size=(n_pairs, d))
+        b = rng.normal(size=n_pairs)
+        out.append((_affine_interp(rng.normal(size=d), W, b), W, b))
+    return out
+
+
+class TestSnapshots:
+    def _filled(self, rng, n=10, **kwargs):
+        cache = RegionCache(**kwargs)
+        interps = _random_interps(rng, n)
+        for interp, _, _ in interps:
+            cache.insert(interp)
+        return cache, interps
+
+    def test_round_trip_bitwise(self, tmp_path):
+        rng = np.random.default_rng(10)
+        cache, interps = self._filled(rng, max_entries=64)
+        path = tmp_path / "regions.npz"
+        assert cache.save(path) == 10
+        restored = RegionCache(max_entries=64)
+        assert restored.load(path) == 10
+        for interp, W, b in interps:
+            y = _probs_for_claims(W @ interp.x0 + b)
+            hit = restored.lookup(interp.x0, y, 0)
+            assert hit is not None
+            assert (
+                hit.decision_features.tobytes()
+                == interp.decision_features.tobytes()
+            )
+            for pair, est in interp.pair_estimates.items():
+                back = hit.pair_estimates[pair]
+                assert back.weights.tobytes() == est.weights.tobytes()
+                assert back.intercept == est.intercept
+
+    def test_snapshot_portable_across_tiers(self, tmp_path):
+        """A snapshot saved by the tiered store warm-starts either tier:
+        the disk tier of a fresh store and a plain RAM cache, bitwise."""
+        rng = np.random.default_rng(11)
+        interps = _random_interps(rng, 10)
+        store = TieredRegionStore(tmp_path / "src", max_entries=4)
+        for interp, _, _ in interps:
+            store.insert(interp)
+        path = tmp_path / "regions.npz"
+        assert store.save(path) == 10
+        store.close()
+        boot = TieredRegionStore(tmp_path / "boot", max_entries=4)
+        assert boot.load(path) == 10
+        mono = RegionCache(max_entries=64)
+        assert mono.load(path) == 10
+        for target in (boot, mono):
+            for interp, W, b in interps:
+                y = _probs_for_claims(W @ interp.x0 + b)
+                hit = target.lookup(interp.x0, y, 0)
+                assert hit is not None
+                assert (
+                    hit.decision_features.tobytes()
+                    == interp.decision_features.tobytes()
+                )
+        boot.close()
+
+    def test_monolithic_round_trip_and_lru_order(self, tmp_path):
+        rng = np.random.default_rng(12)
+        cache, interps = self._filled(rng, max_entries=64)
+        path = tmp_path / "mono.npz"
+        cache.save(path)
+        # Loading into a smaller cache keeps the *most recent* entries.
+        small = RegionCache(max_entries=3)
+        small.load(path)
+        assert len(small) == 3
+        kept = 0
+        for interp, W, b in interps[-3:]:
+            y = _probs_for_claims(W @ interp.x0 + b)
+            kept += small.lookup(interp.x0, y, 0) is not None
+        assert kept == 3
+
+    def test_load_requires_empty_cache(self, tmp_path):
+        rng = np.random.default_rng(13)
+        cache, _ = self._filled(rng)
+        path = tmp_path / "regions.npz"
+        cache.save(path)
+        with pytest.raises(ValidationError, match="empty"):
+            cache.load(path)
+        cache.clear()
+        assert cache.load(path) == 10
+
+    def test_load_rejects_foreign_npz(self, tmp_path):
+        path = tmp_path / "foreign.npz"
+        np.savez(path, junk=np.zeros(3))
+        with pytest.raises(ValidationError, match="version"):
+            RegionCache().load(path)
+
+
+class TestEvictionTransparency:
+    """Bounded tiers may forget, but never distort: everything served
+    from the region tier is bitwise a fresh certified solve, and
+    everything matches the OpenBox ground truth."""
+
+    def _request_stream(self, X, seed, n=30):
+        rng = np.random.default_rng(seed)
+        pool = X[:6]
+        return pool[rng.integers(0, len(pool), size=n)]
+
+    def _replay_and_audit(self, model, service, requests):
+        responses = service.interpret_many(requests)
+        fresh = {
+            r.interpretation.decision_features.tobytes()
+            for r in responses
+            if r.ok and not r.served_from_cache
+        }
+        n_hits = 0
+        for x0, response in zip(requests, responses):
+            assert response.ok
+            interp = response.interpretation
+            gt = ground_truth_decision_features(
+                model, x0, interp.target_class
+            )
+            np.testing.assert_allclose(
+                interp.decision_features, gt, atol=1e-7
+            )
+            if response.served_from_cache:
+                assert interp.decision_features.tobytes() in fresh
+                n_hits += 1
+        return responses, fresh, n_hits
+
+    @pytest.mark.parametrize(
+        "tier_kwargs",
+        [
+            lambda tmp: {"cache": RegionCache(max_entries=2)},
+            lambda tmp: {
+                "cache": RegionCache(eviction="ttl", ttl_s=1e9, max_entries=2)
+            },
+            lambda tmp: {"store": TieredRegionStore(tmp, max_entries=2)},
+            lambda tmp: {
+                "store": TieredRegionStore(
+                    tmp, max_entries=2, eviction="ttl", ttl_s=1e9
+                )
+            },
+        ],
+        ids=["lru", "ttl", "tiered-lru", "tiered-ttl"],
+    )
+    def test_bounded_cache_is_transparent(
+        self, relu_model, blobs3, tier_kwargs, tmp_path
+    ):
+        api = PredictionAPI(relu_model)
+        service = InterpretationService(
+            api, seed=0, max_batch_size=4, **tier_kwargs(tmp_path)
+        )
+        requests = self._request_stream(blobs3.X, seed=0)
+        _, _, n_hits = self._replay_and_audit(relu_model, service, requests)
+        # The tiny capacity must actually evict (the property is about
+        # serving *through* eviction, not around it) yet still serve hits.
+        stats = service.cache.stats()
+        l1 = stats.l1 if service.store is not None else stats.as_dict()
+        assert l1["evictions"] > 0
+        assert n_hits > 0
+        if service.store is not None:
+            service.store.close()
+
+    def test_ttl_expiry_mid_stream_stays_transparent(
+        self, relu_model, blobs3, fake_clock
+    ):
+        api = PredictionAPI(relu_model)
+        cache = RegionCache(
+            max_entries=64, eviction="ttl", ttl_s=5.0, clock=fake_clock,
+        )
+        service = InterpretationService(api, cache=cache, seed=0,
+                                        max_batch_size=4)
+        requests = self._request_stream(blobs3.X, seed=1, n=12)
+        for chunk in np.array_split(requests, 4):
+            self._replay_and_audit(relu_model, service, chunk)
+            fake_clock.advance(6.0)  # every resident region expires
+        assert cache.stats().evictions > 0
+
+    def test_snapshot_round_trip_transparent(
+        self, relu_model, blobs3, tmp_path
+    ):
+        api = PredictionAPI(relu_model)
+        service = InterpretationService(api, seed=0, max_batch_size=4)
+        requests = self._request_stream(blobs3.X, seed=2)
+        self._replay_and_audit(relu_model, service, requests)
+        saved = {
+            entry.decision_features.tobytes()
+            for entry in service.cache._entries.values()
+        }
+        path = tmp_path / "warm.npz"
+        service.cache.save(path)
+
+        warm_cache = RegionCache()
+        warm_cache.load(path)
+        warm_service = InterpretationService(
+            PredictionAPI(relu_model), cache=warm_cache, seed=0,
+            max_batch_size=4,
+        )
+        warm_responses = warm_service.interpret_many(requests)
+        warm_fresh = {
+            r.interpretation.decision_features.tobytes()
+            for r in warm_responses
+            if r.ok and not r.served_from_cache
+        }
+        n_hits = 0
+        for x0, response in zip(requests, warm_responses):
+            assert response.ok
+            interp = response.interpretation
+            gt = ground_truth_decision_features(
+                relu_model, x0, interp.target_class
+            )
+            np.testing.assert_allclose(interp.decision_features, gt,
+                                       atol=1e-7)
+            if response.served_from_cache:
+                assert interp.decision_features.tobytes() in saved | warm_fresh
+                n_hits += 1
+        # The snapshot actually served: hits from regions solved in the
+        # *previous* process's replay.
+        assert n_hits > 0
+        assert warm_service.stats().hit_rate > 0
 
 
 @pytest.fixture()

@@ -12,14 +12,18 @@ Covers the store module's three contracts:
   L2 on, and after demote → promote round trips through the mmap'd
   segments (the paper's Theorem 2 exactness contract, extended to
   disk);
-* **snapshot interop** — `.npz` region snapshots written by any tier
-  bootstrap the disk tier, bitwise, across shard counts.
+* **snapshot interop** — `.npz` region snapshots written by either
+  tier bootstrap the disk tier, bitwise.
+
+It also pins the stability of :func:`region_signature`, the key every
+L2 record is stored under.
 """
 
 from __future__ import annotations
 
 import json
 import tempfile
+import threading
 import zlib
 
 import numpy as np
@@ -36,9 +40,9 @@ from repro.serving import (
     L2ReaderCache,
     RegionCache,
     SegmentStore,
-    ShardedInterpretationService,
-    ShardedRegionCache,
     TieredRegionStore,
+    region_signature,
+    signature_of,
     zipf_clustered_workload,
 )
 from repro.serving.store import _HEADER, _pack_payload
@@ -87,6 +91,50 @@ def _fill(store: SegmentStore, records: dict) -> None:
 
 def _segment_paths(directory):
     return sorted(directory.glob("segment-*.seg"))
+
+
+class TestRegionSignature:
+    def test_stable_across_calls_and_processes(self):
+        rng = np.random.default_rng(0)
+        W, b = rng.normal(size=(2, 4)), rng.normal(size=2)
+        pairs = ((0, 1), (0, 2))
+        sig = region_signature(0, pairs, W, b)
+        assert sig == region_signature(0, pairs, W, b)
+        # CRC-based, not Python hash() — pin one literal value so a salted
+        # or platform-dependent hash cannot sneak in (L2 records written
+        # by one process must be recognised by the next).
+        fixed = region_signature(
+            1, ((1, 0),), np.array([[1.0, 2.0]]), np.array([3.0])
+        )
+        assert fixed == region_signature(
+            1, ((1, 0),), np.array([[1.0, 2.0]]), np.array([3.0])
+        )
+        assert 0 <= fixed < 2**32
+
+    def test_quantization_collapses_solver_noise(self):
+        rng = np.random.default_rng(1)
+        W, b = rng.normal(size=(2, 4)), rng.normal(size=2)
+        pairs = ((0, 1), (0, 2))
+        noisy = region_signature(0, pairs, W + 1e-10, b - 1e-10)
+        assert noisy == region_signature(0, pairs, W, b)
+
+    def test_distinct_regions_distinct_signatures(self):
+        rng = np.random.default_rng(2)
+        pairs = ((0, 1), (0, 2))
+        sigs = {
+            region_signature(
+                0, pairs, rng.normal(size=(2, 4)), rng.normal(size=2)
+            )
+            for _ in range(64)
+        }
+        assert len(sigs) == 64
+
+    def test_signature_of_matches_manual(self):
+        rng = np.random.default_rng(3)
+        W, b = rng.normal(size=(2, 5)), rng.normal(size=2)
+        interp = _affine_interp(rng.normal(size=5), W, b)
+        pairs = tuple(sorted(interp.pair_estimates))
+        assert signature_of(interp) == region_signature(0, pairs, W, b)
 
 
 class TestSegmentStoreDurability:
@@ -226,7 +274,7 @@ class TestSegmentStoreDurability:
 class TestTieredRegionStore:
     def test_eviction_demotes_and_lookup_promotes_bitwise(self, tmp_path):
         rng = np.random.default_rng(6)
-        store = TieredRegionStore(tmp_path, n_shards=2, max_entries=2)
+        store = TieredRegionStore(tmp_path, max_entries=2)
         interps = []
         for _ in range(5):
             interp = _affine_interp(
@@ -272,7 +320,7 @@ class TestTieredRegionStore:
 
     def test_close_drains_l1_and_reopen_resumes_inventory(self, tmp_path):
         rng = np.random.default_rng(7)
-        store = TieredRegionStore(tmp_path, n_shards=2, max_entries=4)
+        store = TieredRegionStore(tmp_path, max_entries=4)
         interps = [
             _affine_interp(
                 rng.normal(size=4), rng.normal(size=(2, 4)),
@@ -286,7 +334,7 @@ class TestTieredRegionStore:
         assert store.stats().l2_entries < 4         # ... not yet on disk
         store.close()                               # drain persists them
 
-        reopened = TieredRegionStore(tmp_path, n_shards=3, max_entries=4)
+        reopened = TieredRegionStore(tmp_path, max_entries=4)
         assert len(reopened) == 4
         for interp in interps:
             claims = np.asarray(
@@ -306,11 +354,9 @@ class TestTieredRegionStore:
             )
         reopened.close()
 
-    def test_snapshot_bootstraps_l2_across_shard_counts(self, tmp_path):
+    def test_snapshot_bootstraps_l2_bitwise(self, tmp_path):
         rng = np.random.default_rng(8)
-        store = TieredRegionStore(
-            tmp_path / "src", n_shards=2, max_entries=2
-        )
+        store = TieredRegionStore(tmp_path / "src", max_entries=2)
         interps = [
             _affine_interp(
                 rng.normal(size=4), rng.normal(size=(2, 4)),
@@ -324,32 +370,18 @@ class TestTieredRegionStore:
         assert store.save(snap) == 5                # both tiers, deduped
         store.close()
 
-        for n_shards in (1, 3, 5):
-            boot = TieredRegionStore(
-                tmp_path / f"boot{n_shards}", n_shards=n_shards,
-                max_entries=2,
+        boot = TieredRegionStore(tmp_path / "boot", max_entries=2)
+        assert boot.load(snap) == 5
+        assert boot.stats().l2_entries == 5         # cold RAM, warm disk
+        assert len(boot.l1) == 0
+        for interp in interps:
+            hit = boot.lookup(interp.x0, _y0_for(interp), interp.target_class)
+            assert hit is not None
+            assert (
+                hit.decision_features.tobytes()
+                == interp.decision_features.tobytes()
             )
-            assert boot.load(snap) == 5
-            assert boot.stats().l2_entries == 5     # cold RAM, warm disk
-            assert len(boot.l1) == 0
-            for interp in interps:
-                claims = np.asarray(
-                    [
-                        interp.pair_estimates[p].weights @ interp.x0
-                        + interp.pair_estimates[p].intercept
-                        for p in sorted(interp.pair_estimates)
-                    ]
-                )
-                hit = boot.lookup(
-                    interp.x0, _probs_for_claims(claims),
-                    interp.target_class,
-                )
-                assert hit is not None
-                assert (
-                    hit.decision_features.tobytes()
-                    == interp.decision_features.tobytes()
-                )
-            boot.close()
+        boot.close()
 
     def test_region_cache_snapshot_bootstraps_l2(self, tmp_path):
         """`.npz` snapshots written by the RAM tiers are L2 bootstrap
@@ -363,7 +395,7 @@ class TestTieredRegionStore:
         snap = tmp_path / "cache.npz"
         cache.save(snap)
 
-        store = TieredRegionStore(tmp_path / "boot", n_shards=2)
+        store = TieredRegionStore(tmp_path / "boot")
         assert store.load(snap) == 1
         claims = np.asarray(
             [
@@ -384,7 +416,7 @@ class TestTieredRegionStore:
 
     def test_load_requires_empty_store(self, tmp_path):
         rng = np.random.default_rng(10)
-        store = TieredRegionStore(tmp_path / "a", n_shards=2)
+        store = TieredRegionStore(tmp_path / "a")
         store.insert(
             _affine_interp(
                 rng.normal(size=4), rng.normal(size=(2, 4)),
@@ -404,44 +436,39 @@ class TestTieredRegionStore:
         self, relu_model, tmp_path
     ):
         api = PredictionAPI(relu_model)
-        store = TieredRegionStore(tmp_path, n_shards=2)
+        store = TieredRegionStore(tmp_path)
         with pytest.raises(ValidationError):
             InterpretationService(api, cache=RegionCache(), store=store)
         with pytest.raises(ValidationError):
             InterpretationService(api, store=store, enable_cache=False)
-        with pytest.raises(ValidationError):
-            ShardedInterpretationService(
-                api, cache=ShardedRegionCache(), store=store
-            )
         store.close()
 
 
 class TestTieredTransparency:
-    """Interpretations identical with L2 off, L2 on, and across the
-    multi-worker service — the PR's acceptance property."""
+    """Interpretations identical with L2 off, L2 on, and through the
+    service's background worker loop."""
 
-    def _replay(self, relu_model, blobs3, tmp_path, *, n_workers):
+    def _replay(self, relu_model, blobs3, tmp_path, *, background):
         requests = zipf_clustered_workload(
             blobs3.X[:10], 60, exponent=1.5, seed=3
         )
-        # Arm 1: RAM-only sharded cache (L2 off), unbounded — the
+        # Arm 1: RAM-only cache (L2 off), unbounded — the
         # reference in which no region is ever forgotten.  (A *bounded*
         # RAM arm would re-solve evicted regions; a fresh certified
         # solve of the same region is exact but not bit-identical to
         # the first one, so it is not the right bitwise reference.)
-        ram_service = ShardedInterpretationService(
-            PredictionAPI(relu_model), n_workers=1,
-            cache=ShardedRegionCache(n_shards=2, max_entries=1_000_000),
+        ram_service = InterpretationService(
+            PredictionAPI(relu_model),
+            cache=RegionCache(max_entries=1_000_000),
             max_batch_size=8, seed=0,
         )
         ram = ram_service.interpret_many(requests)
         # Arm 2: tiered store (L2 on) at the same L1 bound.
-        store = TieredRegionStore(tmp_path, n_shards=2, max_entries=4)
-        tiered_service = ShardedInterpretationService(
-            PredictionAPI(relu_model), n_workers=n_workers, store=store,
-            max_batch_size=8, seed=0,
+        store = TieredRegionStore(tmp_path, max_entries=4)
+        tiered_service = InterpretationService(
+            PredictionAPI(relu_model), store=store, max_batch_size=8, seed=0,
         )
-        if n_workers > 1:
+        if background:
             with tiered_service:
                 tiered = tiered_service.interpret_many(requests)
         else:
@@ -450,7 +477,7 @@ class TestTieredTransparency:
 
     def test_l2_on_equals_l2_off_bitwise(self, relu_model, blobs3, tmp_path):
         requests, ram, tiered, store = self._replay(
-            relu_model, blobs3, tmp_path, n_workers=1
+            relu_model, blobs3, tmp_path, background=False
         )
         assert store.stats().demotions > 0          # the disk tier engaged
         assert store.stats().l2_hits > 0
@@ -462,11 +489,11 @@ class TestTieredTransparency:
             )
         store.close()
 
-    def test_multiworker_store_served_answers_match_ground_truth(
+    def test_background_loop_store_served_answers_match_ground_truth(
         self, relu_model, blobs3, tmp_path
     ):
         requests, _, tiered, store = self._replay(
-            relu_model, blobs3, tmp_path, n_workers=2
+            relu_model, blobs3, tmp_path, background=True
         )
         for x0, response in zip(requests, tiered):
             assert response.ok
@@ -475,6 +502,39 @@ class TestTieredTransparency:
                 relu_model, x0, interp.target_class
             )
             assert np.abs(interp.decision_features - gt).max() < 1e-6
+        store.close()
+
+    def test_concurrent_clients_keep_exact_meters(
+        self, relu_model, blobs3, tmp_path
+    ):
+        """Many submitting threads against the background loop over a
+        demoting store: every request is served and the service meters
+        equal the API meters exactly."""
+        api = PredictionAPI(relu_model)
+        store = TieredRegionStore(tmp_path, max_entries=2)
+        service = InterpretationService(
+            api, store=store, seed=0, max_batch_size=4, max_wait_s=0.002,
+        )
+        results: dict[int, bool] = {}
+
+        def client(i: int) -> None:
+            response = service.interpret(blobs3.X[i % 6], timeout=30.0)
+            results[i] = response.ok
+
+        with service:
+            threads = [
+                threading.Thread(target=client, args=(i,)) for i in range(24)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert len(results) == 24 and all(results.values())
+        stats = service.stats()
+        assert stats.n_requests == 24
+        assert stats.n_queries == api.query_count
+        assert stats.round_trips == api.request_count
+        assert store.stats().demotions > 0
         store.close()
 
 
@@ -661,6 +721,26 @@ class TestL2ReaderCacheTier:
         again = reader.lookup(target.x0, y0, target.target_class)
         assert again is not None                    # promoted: RAM hit
         assert reader.stats()["l1_hits"] == 1
+        reader.close()
+        writer.close()
+
+    def test_len_counts_a_promoted_region_once(self, tmp_path):
+        """A region promoted from L2 is resident in both tiers but is one
+        region — the same distinct-signature count as the tiered store."""
+        rng = np.random.default_rng(35)
+        interp = _affine_interp(
+            rng.normal(size=4), rng.normal(size=(2, 4)), rng.normal(size=2)
+        )
+        writer = SegmentStore(tmp_path)
+        assert writer.append(signature_of(interp), *_record_of(interp))
+        writer.persist_index()
+        reader = L2ReaderCache(tmp_path, max_entries=8)
+        assert len(reader) == 1
+        assert reader.lookup(
+            interp.x0, _y0_for(interp), interp.target_class
+        ) is not None
+        assert reader.stats()["l2_hits"] == 1
+        assert len(reader) == 1
         reader.close()
         writer.close()
 

@@ -276,7 +276,7 @@ class TestServeFlagValidation:
 
         args = build_parser().parse_args(
             ["serve", "--region-index", "--index-bits", "12",
-             "--shards", "2", "--l2-dir", "l2"]
+             "--l2-dir", "l2"]
         )
         assert _validate_serve_flags(args) is None
 
@@ -314,7 +314,7 @@ class TestServeFlagValidation:
 
         args = build_parser().parse_args(
             ["serve", "--l2-dir", "l2", "--l2-max-bytes", "1048576",
-             "--compact-ratio", "0.6", "--shards", "4"]
+             "--compact-ratio", "0.6", "--max-entries", "64"]
         )
         assert _validate_serve_flags(args) is None
 
@@ -388,8 +388,6 @@ class TestGatewayFlagValidation:
         for flags, named in (
             (["--no-cache"], "--no-cache"),
             (["--broker"], "--broker"),
-            (["--shards", "2"], "--gateway-workers"),
-            (["--workers", "2"], "--gateway-workers"),
             (["--snapshot", "r.npz"], "--snapshot"),
             (["--warm-start", "r.npz"], "--warm-start"),
             (["--eviction", "ttl", "--ttl-s", "30"], "--eviction"),

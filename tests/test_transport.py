@@ -34,7 +34,7 @@ from repro.exceptions import (
     TransportExhaustedError,
     ValidationError,
 )
-from repro.serving import InterpretationService, ShardedInterpretationService
+from repro.serving import InterpretationService
 
 
 class FlakyScriptedTransport:
@@ -555,30 +555,47 @@ class TestServiceWithBroker:
         # Probe rows were delivered and are honestly metered.
         assert service.stats().n_queries == api.query_count == 3
 
-    def test_sharded_workers_share_one_broker(self, relu_model, blobs3):
+    def test_services_share_one_broker(self, relu_model, blobs3):
+        """Two services running concurrently over one broker: each
+        speaks through its own handle, and the handles' attribution
+        sums to the backing API's meters exactly."""
         api = PredictionAPI(relu_model)
         broker = QueryBroker(DirectTransport(api), window_s=0.005)
-        service = ShardedInterpretationService(
-            api, n_workers=3, broker=broker, seed=0, max_batch_size=4
-        )
+        services = [
+            InterpretationService(
+                api, broker=broker, seed=i, max_batch_size=4
+            )
+            for i in range(2)
+        ]
         rng = np.random.default_rng(0)
         requests = blobs3.X[rng.integers(0, 20, 40)]
-        with service:
-            responses = service.interpret_many(requests)
-        assert all(r.ok for r in responses)
-        assert service.stats().n_queries == api.query_count
+        responses: dict[int, list] = {}
+
+        def run(i: int) -> None:
+            with services[i]:
+                responses[i] = services[i].interpret_many(requests)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(r.ok for i in range(2) for r in responses[i])
+        assert len(broker.handles) == 2
         assert sum(h.query_count for h in broker.handles) == api.query_count
         stats = broker.stats()
         assert stats.n_round_trips == api.request_count
         assert stats.n_requests >= stats.n_round_trips
 
-    def test_handle_identity_stable_per_worker(self, relu_model):
+    def test_service_speaks_through_one_handle(self, relu_model, blobs3):
         api = PredictionAPI(relu_model)
-        service = InterpretationService(api, broker=make_broker(api))
-        first = service._client(0)
-        assert isinstance(first, BrokerHandle)
-        assert service._client(0) is first
-        assert service._client(1) is not first
+        broker = make_broker(api)
+        service = InterpretationService(api, broker=broker, seed=0)
+        assert service.interpret(blobs3.X[0]).ok
+        assert service.interpret(blobs3.X[1]).ok
+        (handle,) = broker.handles
+        assert isinstance(handle, BrokerHandle)
+        assert handle.query_count == api.query_count
 
 
 class TestMeterThreadSafety:
