@@ -5,14 +5,27 @@ round trips.  Real services amortize per-request overhead across batched
 instances, so the dominant latency cost is *round trips*, not scored rows.
 :class:`BatchOpenAPIInterpreter` runs Algorithm 1 for all instances in
 lock-step: each round gathers the next sample set of every still-active
-instance into **one** ``predict_proba`` call, then solves and certifies
-all of them in **one** fused engine pass
+instance into **one** ``predict_proba`` call, rejects the failing rounds
+in closed form (:func:`repro.core.rounds.screen_simplex_rounds`), and
+solves and certifies the rest in **one** fused engine pass
 (:func:`repro.core.rounds.run_solve_rounds_batched` — stacked designs,
 batched normal equations; see :mod:`repro.core.engine`).  Total round
 trips drop to ``1 + max_i T_i`` and the local compute per round is a
-handful of batched LAPACK sweeps instead of a Python loop of solver
-calls, while query counts, certificates and exactness are identical to
-the sequential interpreter's.
+few vectorized sweeps instead of a Python loop of solver calls.
+
+Each solve draws one simplex rotation
+(:func:`repro.core.sampling.simplex_directions`), in instance order from
+the shared stream unless ``per_instance_seed`` is set.  The sequential
+interpreter draws its rotations from the same stream in the same order,
+so for one seed and one instance order both interpreters query the same
+samples.  Their verdicts can still differ: a model scores a stacked
+``predict_proba`` call with row-count-dependent rounding (see
+``per_instance_seed``), which can move a residual near ``rtol`` across
+it.  So query counts and answers usually match the sequential
+interpreter's instance by instance, but are not guaranteed identical.
+With a ``clip_box`` both interpreters draw hypercube samples round by round
+from the shared stream, in different orders, and agree only in
+distribution.
 
 Round-trip accounting under micro-batching
 ------------------------------------------
@@ -36,18 +49,23 @@ two contracts of :meth:`~BatchOpenAPIInterpreter.interpret_batch`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.api.transport import QueryClient
 from repro.core.backend import resolve_backend
 from repro.core.equations import DEFAULT_PROB_FLOOR
-from repro.core.rounds import build_interpretation, run_solve_rounds_batched
+from repro.core.rounds import (
+    build_interpretation,
+    run_solve_rounds_batched,
+    screen_simplex_rounds,
+)
 from repro.core.sampling import (
     HypercubeSampler,
     instance_generator,
     sample_hypercube,
+    simplex_directions,
 )
 from repro.core.types import Interpretation
 from repro.exceptions import (
@@ -74,6 +92,7 @@ class _InstanceState:
     done: bool = False
     result: Interpretation | None = None
     rng: np.random.Generator | None = None  # per_instance_seed mode only
+    directions: np.ndarray | None = None  # simplex design (no clip_box)
 
 
 @dataclass(frozen=True)
@@ -274,6 +293,9 @@ class BatchOpenAPIInterpreter:
                 raise ValidationError(
                     f"y0 must be ({n}, {api.n_classes}), got {y0_all.shape}"
                 )
+        # The simplex design and its closed-form screen need the
+        # symmetric samples that clipping would break.
+        simplex = self._sampler.clip_box is None
         states = []
         for i in range(n):
             c = int(classes[i]) if classes is not None else int(np.argmax(y0_all[i]))
@@ -281,17 +303,20 @@ class BatchOpenAPIInterpreter:
                 raise ValidationError(
                     f"class index {c} out of range [0, {api.n_classes})"
                 )
-            states.append(
-                _InstanceState(
-                    x0=X[i], y0=y0_all[i], target_class=c,
-                    edge=self.initial_edge,
-                    rng=(
-                        instance_generator(self._seed, X[i])
-                        if self.per_instance_seed
-                        else None
-                    ),
-                )
+            rng = (
+                instance_generator(self._seed, X[i])
+                if self.per_instance_seed
+                else None
             )
+            state = _InstanceState(
+                x0=X[i], y0=y0_all[i], target_class=c,
+                edge=self.initial_edge, rng=rng,
+            )
+            if simplex:
+                state.directions = simplex_directions(
+                    rng if rng is not None else self._sampler.rng, d
+                )
+            states.append(state)
 
         rounds = 0
         budget_exhausted = False
@@ -303,15 +328,18 @@ class BatchOpenAPIInterpreter:
             # One round trip carries every active instance's sample set
             # (through a broker handle it additionally fuses with other
             # callers' concurrent rounds — same rows, fewer trips).
-            sample_blocks = [
-                sample_hypercube(
-                    s.x0, s.edge, d + 1, s.rng,
-                    clip_box=self._sampler.clip_box,
-                )
-                if s.rng is not None
-                else self._sampler.draw(s.x0, s.edge, d + 1)
-                for s in active
-            ]
+            if simplex:
+                sample_blocks = [s.x0 + s.edge * s.directions for s in active]
+            else:
+                sample_blocks = [
+                    sample_hypercube(
+                        s.x0, s.edge, d + 1, s.rng,
+                        clip_box=self._sampler.clip_box,
+                    )
+                    if s.rng is not None
+                    else self._sampler.draw(s.x0, s.edge, d + 1)
+                    for s in active
+                ]
             stacked = np.vstack(sample_blocks)
             try:
                 probs_stacked = api.predict_proba(stacked)
@@ -326,41 +354,56 @@ class BatchOpenAPIInterpreter:
                 transport_failed = True
                 break
             rounds += 1
+            for state in active:
+                state.iterations += 1
 
-            # One fused engine pass solves and certifies every active
-            # instance: stack the (x0 | samples) design blocks and the
-            # matching probability rows into 3-D tensors.
+            # Stack the (x0 | samples) blocks and the matching probability
+            # rows into 3-D tensors.
             k = len(active)
             x0s = np.stack([s.x0 for s in active])
             y0s = np.stack([s.y0 for s in active])
-            samples_stack = np.stack(sample_blocks)
-            points_stack = np.concatenate(
-                [x0s[:, None, :], samples_stack], axis=1
-            )
             probs_stack = np.concatenate(
                 [y0s[:, None, :], probs_stacked.reshape(k, d + 1, -1)], axis=1
             )
             classes_stack = np.fromiter(
                 (s.target_class for s in active), dtype=np.intp, count=k
             )
-            solve_rounds = run_solve_rounds_batched(
-                points_stack, probs_stack, samples_stack, classes_stack,
-                centers=x0s,
-                rtol=self.rtol, atol=self.atol, floor=self.prob_floor,
-                backend=self._backend,
-            )
-            for state, round_ in zip(active, solve_rounds):
-                state.iterations += 1
-                if round_.certified:
-                    state.result = build_interpretation(
-                        round_,
-                        method=self.method_name,
-                        iterations=state.iterations,
-                        final_edge=state.edge,
-                        n_queries=1 + state.iterations * (d + 1),
-                    )
-                    state.done = True
-                else:
+            # On the simplex design the closed-form screen rejects the
+            # rounds whose certificate must fail; one fused engine pass
+            # solves and certifies the rest.
+            solve = range(k)
+            if simplex:
+                screen = screen_simplex_rounds(
+                    probs_stack, classes_stack,
+                    rtol=self.rtol, atol=self.atol, floor=self.prob_floor,
+                )
+                solve = [b for b in range(k) if screen.passed[b]]
+            if solve:
+                idx = np.asarray(solve)
+                samples_stack = np.stack([sample_blocks[b] for b in solve])
+                points_stack = np.concatenate(
+                    [x0s[idx, None, :], samples_stack], axis=1
+                )
+                solve_rounds = run_solve_rounds_batched(
+                    points_stack, probs_stack[idx], samples_stack,
+                    classes_stack[idx],
+                    centers=x0s[idx],
+                    rtol=self.rtol, atol=self.atol, floor=self.prob_floor,
+                    backend=self._backend,
+                )
+                for b, round_ in zip(solve, solve_rounds):
+                    if round_.certified:
+                        state = active[b]
+                        state.result = build_interpretation(
+                            round_,
+                            method=self.method_name,
+                            iterations=state.iterations,
+                            final_edge=state.edge,
+                            n_queries=1 + state.iterations * (d + 1),
+                        )
+                        state.done = True
+            for state in active:
+                if not state.done:
                     state.edge *= self.shrink
 
         return BatchResult(

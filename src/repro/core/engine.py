@@ -193,6 +193,48 @@ class StackedSolve:
         return solutions
 
 
+def stacked_log_odds(
+    probs: np.ndarray, target_classes: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair targets of every block: ``(columns, targets_t)``.
+
+    ``targets_t[b, j, i]`` is the log-odds of block ``b``'s target class
+    against its ``j``-th other class (ascending, as
+    :func:`~repro.core.equations.pairwise_log_odds_targets`) at point
+    ``i``; ``columns`` is the ``(k, C)`` class order (target first).
+    ``probs`` is ``(k, n, C)`` float64, ``target_classes`` ``(k,)``.
+    """
+    k, _, C = probs.shape
+    columns = _pair_columns(C)[target_classes]                   # (k, C)
+    # ``maximum`` is what ``clip`` with no upper bound computes.
+    log_p = np.log(np.maximum(probs, floor))
+    picked = log_p[np.arange(k)[:, None], :, columns]            # (k, C, n)
+    return columns, picked[:, :1, :] - picked[:, 1:, :]          # (k, C-1, n)
+
+
+def certificate_verdicts(
+    res_norms: np.ndarray, targets_t: np.ndarray, *, rtol: float, atol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relative residuals and the certificate grid of ``(k, C-1)`` norms.
+
+    The rule of :func:`~repro.utils.linalg.consistency_certificate`,
+    vectorized: a pair passes when ``res <= atol`` or
+    ``res / ||t - mean(t)|| <= rtol`` (the relative residual is the bare
+    norm where the centred target norm is 0).  ``targets_t`` is the
+    ``(k, C-1, n)`` output of :func:`stacked_log_odds`.
+    """
+    # The mean and norm reduce over the innermost contiguous axis: the
+    # per-column reference's summation order (see solve_stack).
+    # repro-lint: disable=backend-seam host-side certificate norms in reference order
+    denoms = np.linalg.norm(
+        targets_t - targets_t.mean(axis=2, keepdims=True), axis=2
+    )
+    relatives = np.divide(
+        res_norms, denoms, out=res_norms.copy(), where=denoms > 0
+    )
+    return relatives, (res_norms <= atol) | (relatives <= rtol)
+
+
 def solve_pair_systems_stacked(
     points: np.ndarray,
     probs: np.ndarray,
@@ -322,13 +364,7 @@ def solve_stack(
                 f"centers must have shape ({k}, {d}), got {centers_arr.shape}"
             )
 
-    # Log-odds of each block's target class against every other class,
-    # the others in ascending order (as pairwise_log_odds_targets).
-    # ``maximum`` is what ``clip`` with no upper bound computes.
-    columns = _pair_columns(C)[target_classes]                   # (k, C)
-    log_p = np.log(np.maximum(probs, floor))
-    picked = log_p[np.arange(k)[:, None], :, columns]            # (k, C, n)
-    targets_t = picked[:, :1, :] - picked[:, 1:, :]              # (k, C-1, n)
+    columns, targets_t = stacked_log_odds(probs, target_classes, floor)
     targets = np.ascontiguousarray(targets_t.transpose(0, 2, 1))  # (k, n, C-1)
 
     # Stacked centered/scaled designs [1 | (x - center) / scale], filled
@@ -383,15 +419,11 @@ def solve_stack(
     # transposed copies so the pairwise summation order matches the
     # per-column reference exactly — otherwise a constant target column
     # can yield denom 0.0 on one path and ~1e-31 on the other, flipping
-    # the degenerate branch below.
+    # the zero-denominator branch of certificate_verdicts.
     residuals_t = np.ascontiguousarray(residuals.transpose(0, 2, 1))
     res_norms = np.linalg.norm(residuals_t, axis=2)  # (k, C-1)  repro-lint: disable=backend-seam host-side certificate norms in reference order
-    # repro-lint: disable=backend-seam host-side certificate norms in reference order
-    denoms = np.linalg.norm(
-        targets_t - targets_t.mean(axis=2, keepdims=True), axis=2
-    )
-    relatives = np.divide(
-        res_norms, denoms, out=res_norms.copy(), where=denoms > 0
+    relatives, certified_grid = certificate_verdicts(
+        res_norms, targets_t, rtol=rtol, atol=atol
     )
     weights = betas[:, 1:, :] / scale[:, None, None]                # (k, d, C-1)
     # repro-lint: disable=backend-seam host-side intercept recentering; must match the reference dot order bitwise
@@ -399,7 +431,6 @@ def solve_stack(
         "kd,kdp->kp", centers_arr, weights
     )
 
-    certified_grid = (res_norms <= atol) | (relatives <= rtol)
     if not (check_certificate and n > d + 1):
         # Determined systems (the naive method) carry no certificate.
         certified_grid[:] = False

@@ -2,8 +2,8 @@
 
 The method that makes black-box interpretation *exact*:
 
-1. sample ``d + 1`` perturbed instances uniformly from a hypercube of edge
-   ``r`` centered on ``x0`` and query the API on them;
+1. pick ``d + 1`` perturbed instances within the hypercube of edge ``r``
+   centered on ``x0`` and query the API on them;
 2. together with ``(x0, y0)`` this yields ``d + 2`` equations per class
    pair — an *overdetermined* system :math:`\\Omega^{c,c'}_{d+2}`;
 3. if every pair's system is consistent, Theorem 2 guarantees the solution
@@ -16,12 +16,22 @@ The consistency check is the paper's "has a solution" test realized in
 floating point as a relative-residual certificate
 (:func:`repro.utils.linalg.consistency_certificate`).
 
-Complexity: :math:`O(T \\cdot ((d+2)^3 + C (d+2)^2))` for ``T`` shrink
-iterations — all ``C-1`` pairs share one sample set, so every iteration
-performs a single normal-equations factorization (:math:`O((d+2)^3)`)
-whose ``C-1`` right-hand sides cost :math:`O((d+2)^2)` each, via the
-fused batched engine (:mod:`repro.core.engine`) shared with the
-lock-step batch interpreter.
+Step 1 deviates from the paper's uniform draw: the samples are the
+vertices of a regular simplex of circumradius ``r`` around ``x0``, under
+one random rotation per solve (:mod:`repro.core.sampling`).  On that
+design a round's residuals have a closed form, so a failing round is
+rejected in :math:`O(d C)` arithmetic
+(:func:`repro.core.rounds.screen_simplex_rounds`) and only a round that
+passes is solved.  An interpreter built with a ``clip_box`` draws the
+paper's uniform hypercube and solves every round, since clipping would
+break the simplex's symmetry.
+
+Complexity: :math:`O(T \\cdot d C + (d+2)^3 + C (d+2)^2)` for ``T``
+shrink iterations — each round's closed-form screen is linear, and the
+round that passes pays a single normal-equations factorization
+(:math:`O((d+2)^3)`) whose ``C-1`` right-hand sides cost
+:math:`O((d+2)^2)` each, via the fused batched engine
+(:mod:`repro.core.engine`) shared with the lock-step batch interpreter.
 """
 
 from __future__ import annotations
@@ -33,8 +43,13 @@ import numpy as np
 from repro.api.transport import QueryClient
 from repro.core.backend import resolve_backend
 from repro.core.equations import DEFAULT_PROB_FLOOR
-from repro.core.rounds import SolveRound, build_interpretation, run_solve_round
-from repro.core.sampling import HypercubeSampler
+from repro.core.rounds import (
+    SolveRound,
+    build_interpretation,
+    run_solve_round,
+    screen_simplex_rounds,
+)
+from repro.core.sampling import HypercubeSampler, simplex_directions
 from repro.core.types import Interpretation
 from repro.exceptions import CertificateError, ValidationError
 from repro.utils.linalg import DEFAULT_CERTIFICATE_ATOL, DEFAULT_CERTIFICATE_RTOL
@@ -188,12 +203,42 @@ class OpenAPIInterpreter:
 
         state = _RunState()
         self._last_round_ = None
+        # The simplex design and its closed-form screen need the
+        # symmetric samples that clipping would break.
+        directions = (
+            simplex_directions(self._sampler.rng, d)
+            if self._sampler.clip_box is None
+            else None
+        )
         edge = self.initial_edge
         for iteration in range(1, self.max_iterations + 1):
-            samples = self._sampler.draw(x0, edge, d + 1)
-            points = np.vstack([x0[None, :], samples])
+            if directions is None:
+                samples = self._sampler.draw(x0, edge, d + 1)
+            else:
+                samples = x0 + edge * directions
             probs = np.vstack([y0[None, :], api.predict_proba(samples)])
 
+            if directions is not None:
+                screen = screen_simplex_rounds(
+                    probs[None], np.array([c]),
+                    rtol=self.rtol, atol=self.atol, floor=self.prob_floor,
+                )
+                if not screen.passed[0]:
+                    state.history.append(
+                        IterationRecord(
+                            iteration=iteration,
+                            edge=edge,
+                            n_certified=screen.n_certified(0),
+                            n_pairs=api.n_classes - 1,
+                            worst_relative_residual=(
+                                screen.worst_relative_residual(0)
+                            ),
+                        )
+                    )
+                    edge *= self.shrink
+                    continue
+
+            points = np.vstack([x0[None, :], samples])
             round_ = run_solve_round(
                 points, probs, samples, c,
                 center=x0,

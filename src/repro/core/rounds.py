@@ -21,6 +21,12 @@ result objects are built only when a caller reads ``solutions`` — in
 practice only for the round that certifies.  :func:`build_interpretation`
 is the one place a certified round becomes an
 :class:`~repro.core.types.Interpretation`.
+
+On the interpreters' simplex design (:func:`repro.core.sampling.simplex_directions`)
+most rounds never reach the engine: :func:`screen_simplex_rounds` computes
+every pair's least-squares residual in closed form and rejects the rounds
+whose certificate must fail.  Only the rounds it passes are solved, and
+the engine's verdict on them is the only one that accepts.
 """
 
 from __future__ import annotations
@@ -28,7 +34,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.backend import ArrayBackend
-from repro.core.engine import StackedSolve, solve_stack
+from repro.core.engine import (
+    StackedSolve,
+    certificate_verdicts,
+    solve_stack,
+    stacked_log_odds,
+)
 from repro.core.equations import (
     DEFAULT_PROB_FLOOR,
     PairSystemSolution,
@@ -39,10 +50,12 @@ from repro.exceptions import ValidationError
 from repro.utils.linalg import DEFAULT_CERTIFICATE_ATOL, DEFAULT_CERTIFICATE_RTOL
 
 __all__ = [
+    "SimplexScreen",
     "SolveRound",
     "run_solve_round",
     "run_solve_rounds_batched",
     "build_interpretation",
+    "screen_simplex_rounds",
 ]
 
 
@@ -250,6 +263,85 @@ def run_solve_rounds_batched(
         SolveRound._of_block(stack, i, points[i], probs[i], samples[i])
         for i in range(len(stack))
     ]
+
+
+class SimplexScreen:
+    """The closed-form certificate of ``k`` simplex rounds (see
+    :func:`screen_simplex_rounds`).
+
+    Attributes
+    ----------
+    res_norms, relatives:
+        ``(k, C-1)`` residual norms and relative residuals, the values
+        the engine's ``StackedSolve`` would report for the same blocks.
+    certified_grid:
+        ``(k, C-1)`` certificate verdict per pair.
+    passed:
+        ``(k,)`` host bools: every pair of the block passed.
+    """
+
+    __slots__ = ("res_norms", "relatives", "certified_grid", "passed")
+
+    def __init__(self, res_norms, relatives, certified_grid):
+        self.res_norms = res_norms
+        self.relatives = relatives
+        self.certified_grid = certified_grid
+        self.passed: list[bool] = certified_grid.all(axis=1).tolist()
+
+    def n_certified(self, b: int) -> int:
+        """Pairs of block ``b`` that passed."""
+        return int(np.count_nonzero(self.certified_grid[b]))
+
+    def worst_relative_residual(self, b: int) -> float:
+        """Largest relative residual of block ``b`` (0.0 without pairs)."""
+        return float(max(self.relatives[b].tolist(), default=0.0))
+
+
+def screen_simplex_rounds(
+    probs: np.ndarray,
+    target_classes: np.ndarray,
+    *,
+    rtol: float = DEFAULT_CERTIFICATE_RTOL,
+    atol: float = DEFAULT_CERTIFICATE_ATOL,
+    floor: float = DEFAULT_PROB_FLOOR,
+) -> SimplexScreen:
+    """Certify ``k`` simplex rounds without solving them.
+
+    Parameters
+    ----------
+    probs:
+        ``(k, d + 2, C)`` API probability rows per block: ``x0`` first,
+        then the ``d + 1`` vertices ``x0 + edge * directions`` of a
+        regular simplex centred on ``x0``
+        (:func:`~repro.core.sampling.simplex_directions`).
+    target_classes:
+        ``(k,)`` base class per block (validated by the caller).
+
+    Notes
+    -----
+    On that design the left null vector of the design ``[1 | X - x0]``
+    is ``n = (-(d + 1), 1, ..., 1)``: ``n·1 = 0`` and the vertices sum to
+    ``(d + 1)·x0``.  The design has full column rank, so ``n`` spans its
+    left null space and a pair's least-squares residual norm is
+    ``|n·t| / ||n|| = |Σ_i (t_i - t_0)| / sqrt((d + 1)(d + 2))`` — the
+    round is consistent iff ``x0``'s log-odds equal the mean of its
+    samples'.  The same log-odds transform and certificate rule as the
+    engine (:func:`~repro.core.engine.certificate_verdicts`) turn it into
+    verdicts, in ``O(k·d·C)`` arithmetic.  The closed form meets the
+    engine's residuals up to the rounding of the sample coordinates, a
+    relative ``O(eps·|x0| / edge)`` of the centred target norm.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    _, targets_t = stacked_log_odds(
+        probs, np.asarray(target_classes, dtype=np.intp), floor
+    )
+    n = targets_t.shape[2]
+    steps = targets_t[:, :, 1:] - targets_t[:, :, :1]      # (k, C-1, n-1)
+    res_norms = np.abs(steps.sum(axis=2)) / np.sqrt((n - 1) * n)
+    relatives, grid = certificate_verdicts(
+        res_norms, targets_t, rtol=rtol, atol=atol
+    )
+    return SimplexScreen(res_norms, relatives, grid)
 
 
 def build_interpretation(

@@ -1,4 +1,4 @@
-"""Hypercube perturbation sampling (Section IV-B).
+"""Perturbation designs of Algorithm 1 (Section IV-B).
 
 The paper defines the neighbourhood of ``x`` as the hypercube
 ``{p | for all i, |p_i - x_i| <= r}`` with ``x`` at the center — note this
@@ -10,10 +10,29 @@ Lemma 1 rests on the samples being independently and *uniformly* drawn from
 this hypercube: that is what makes the coefficient matrix full-rank with
 probability 1, and what gives region-crossing samples probability 0 of
 satisfying a foreign region's linear identity (Theorems 1-2).
+:func:`sample_hypercube` is that design; the naive method, the baselines,
+:func:`~repro.core.verification.verify_interpretation` and interpreters
+built with a ``clip_box`` use it.
+
+The serving design of both Algorithm-1 interpreters is a fixed shape under a
+random rotation instead: the ``d + 1`` vertices of a regular simplex
+centred on ``x0`` with circumradius ``edge`` (so every sample still lies
+in the paper's hypercube), turned by one uniformly (Haar) random
+orthogonal matrix per solve (:func:`simplex_directions`).  The shape is
+what makes every sample equally visible to the certificate: each has
+leverage ``1 - 1 / ((d + 1)(d + 2))`` in the ``(d + 2) × (d + 1)``
+design, and the least-squares residual has a closed form
+(:func:`repro.core.rounds.screen_simplex_rounds`).  Theorem 2's
+probability-1 argument rests on the rotation: the shape is fixed,
+but its orientation is continuous and uniform, so a region boundary
+passes through a vertex, or a crossing sample happens to satisfy the
+foreign region's identity, with probability 0 — the same measure-zero
+events the uniform hypercube excludes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -22,7 +41,14 @@ from repro.exceptions import ValidationError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_vector
 
-__all__ = ["sample_hypercube", "instance_generator", "HypercubeSampler"]
+__all__ = [
+    "sample_hypercube",
+    "instance_generator",
+    "HypercubeSampler",
+    "random_rotation",
+    "regular_simplex",
+    "simplex_directions",
+]
 
 
 def instance_generator(seed: int | None, x0: np.ndarray) -> np.random.Generator:
@@ -52,6 +78,50 @@ def instance_generator(seed: int | None, x0: np.ndarray) -> np.random.Generator:
         int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)
     ]
     return np.random.default_rng(np.random.SeedSequence(words))
+
+
+@functools.lru_cache(maxsize=None)
+def regular_simplex(d: int) -> np.ndarray:
+    """The ``(d + 1, d)`` vertices of a regular simplex in ``R^d``.
+
+    Centroid at the origin, every vertex at distance 1 from it.  Built
+    from ``e_1, ..., e_d`` and ``a·(1, ..., 1)`` with
+    ``a = (1 - sqrt(d + 1)) / d`` (all pairwise distances ``sqrt 2``),
+    then centred and scaled to unit circumradius.  Read-only and cached:
+    the orientation is irrelevant, :func:`simplex_directions` rotates it.
+    """
+    vertices = np.vstack([
+        np.eye(d), np.full((1, d), (1.0 - np.sqrt(d + 1.0)) / d)
+    ])
+    vertices -= vertices.mean(axis=0)
+    vertices /= np.linalg.norm(vertices, axis=1, keepdims=True)
+    vertices.flags.writeable = False
+    return vertices
+
+
+def random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A Haar-distributed ``(d, d)`` orthogonal matrix.
+
+    QR of a standard Gaussian matrix, with each column of ``Q`` multiplied
+    by the sign of the matching diagonal entry of ``R`` — without that
+    fix ``Q`` inherits the QR routine's sign convention and is not
+    uniformly distributed.
+    """
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+
+
+def simplex_directions(rng: np.random.Generator, d: int) -> np.ndarray:
+    """The ``(d + 1, d)`` unit directions of one solve's simplex design.
+
+    The regular simplex under one random rotation drawn from ``rng``.
+    Round ``t`` of Algorithm 1 queries ``x0 + edge_t * directions``:
+    vertices at distance ``edge_t`` from ``x0`` (inside the hypercube
+    ``|p_i - x0_i| <= edge_t``), centroid ``x0``.  Drawn from
+    :func:`instance_generator` the design is a pure function of
+    ``(seed, x0)``.
+    """
+    return regular_simplex(d) @ random_rotation(rng, d).T
 
 
 def sample_hypercube(

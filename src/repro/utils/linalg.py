@@ -48,10 +48,24 @@ sample's violation reaches the residual scaled by ``sqrt(1 - h_ii)``,
 where ``h_ii`` is that sample's leverage in the ``(d+2) × (d+1)``
 design.  A random hypercube design can leave one sample with
 ``1 - h_ii`` near zero, and then a crossing passes the certificate:
-instance 636 of ``perfbench``'s fixed fresh draw certified at a
-relative residual of 5.1e-7, under the default ``rtol`` of 1e-6, with
-decision features 0.029 off the ground truth (pinned in
+on the hypercube, instance 636 of ``perfbench``'s fixed fresh draw
+certified at a relative residual of 5.1e-7, under the default ``rtol``
+of 1e-6, with decision features 0.029 off the ground truth (pinned in
 ``perfbench/common.py`` as ``KNOWN_FALSE_CERTIFICATES``).
+
+The interpreters therefore query a rotated regular simplex
+(:func:`repro.core.sampling.simplex_directions`), on which every sample
+has the same ``1 - h_ii = 1 / ((d + 1)(d + 2))``: each reaches the
+residual with sensitivity ``1 / sqrt((d + 1)(d + 2))``, 1/sqrt(132) ≈
+0.087 at ``d = 10``, and no sample is blind.  That narrows the
+false-certificate hole; it does not close it.  Over 24,000 fresh
+credit-scoring instances (three draws of 8,000,
+``benchmarks/bench_ablation_query_cost.py``), the simplex certified 4
+answers more than 1e-6 off the ground truth against 23 for the
+hypercube, the worst 1.7e-4 off against 2.13.  The remaining errors
+are shallow crossings: a sample so little past a boundary that its
+violation, and the error it puts in ``D``, are a small fraction of the
+round's signal, under ``rtol`` even at full sensitivity.
 """
 
 from __future__ import annotations
@@ -76,8 +90,9 @@ __all__ = [
 #: With the centered-target denominator, consistent systems land at
 #: ~1e-12 and region-crossing systems typically well above it, whatever
 #: the hypercube edge.  A crossing sample of high leverage ``h_ii`` is
-#: damped by ``sqrt(1 - h_ii)`` and can fall under this threshold (see
-#: the module notes and ``KNOWN_FALSE_CERTIFICATES`` in perfbench).
+#: damped by ``sqrt(1 - h_ii)`` and can fall under this threshold; the
+#: simplex design bounds that damping, but a shallow crossing can still
+#: pass (see the module notes).
 DEFAULT_CERTIFICATE_RTOL: float = 1e-6
 
 #: Default absolute floor on the residual for the certificate.  Guards the
@@ -336,10 +351,11 @@ def consistency_certificate(
     the sample's violation reaches the residual scaled by
     ``sqrt(1 - h_ii)``, its leverage ``h_ii`` in the design.  The residual
     is therefore ~|ΔD|/|D| only for a sample of moderate leverage; a
-    sample with ``1 - h_ii`` near zero hides its crossing.  Instance 636
-    of ``perfbench``'s fresh draw certified falsely this way at a
-    relative residual of 5.1e-7, under the default ``rtol`` of 1e-6 (see
-    ``KNOWN_FALSE_CERTIFICATES`` in ``perfbench/common.py``).
+    sample with ``1 - h_ii`` near zero hides its crossing.  On the
+    hypercube, instance 636 of ``perfbench``'s fresh draw certified
+    falsely this way at a relative residual of 5.1e-7, under the default
+    ``rtol`` of 1e-6.  The interpreters' simplex design gives every
+    sample ``1 - h_ii = 1 / ((d + 1)(d + 2))`` (see the module notes).
 
     The ``atol`` floor covers the degenerate zero-signal case (all targets
     identical — a locally constant log-odds, i.e. ``D = 0``).
