@@ -14,11 +14,10 @@ Commands
     Run the interpretation service over a demo model: replay a skewed
     request workload (Zipf, drifting-Zipf, multi-tenant or churn)
     through the region cache + micro-batching loop — optionally bounded
-    (``--max-entries``,
-    ``--eviction``), disk-tiered (``--l2-dir``/``--l2-max-bytes``/
-    ``--compact-ratio``), scan-indexed
-    (``--region-index``/``--index-bits``) and snapshot-persistent
-    (``--snapshot``/``--warm-start``) — and print the stats endpoint.
+    (``--max-entries``, ``--eviction``), disk-tiered and restartable
+    (``--l2-dir``/``--l2-max-bytes``/``--compact-ratio``: a rerun over
+    the same directory resumes its regions) and scan-indexed
+    (``--region-index``/``--index-bits``) — and print the stats endpoint.
 ``bench-serve``
     The cache-on/off serving throughput comparison
     (``benchmarks/bench_serving_throughput.py`` as a subcommand).
@@ -40,8 +39,7 @@ Examples
     python -m repro run all --scale bench --output report.txt
     python -m repro interpret --dataset credit-scoring --seed 3
     python -m repro serve --dataset credit-scoring --requests 200
-    python -m repro serve --max-entries 64 --snapshot regions.npz
-    python -m repro serve --warm-start regions.npz --snapshot regions.npz \
+    python -m repro serve --l2-dir regions.l2 --max-entries 8 \
         --workload drifting
     python -m repro serve --broker --latency-ms 5 \
         --failure-rate 0.05 --retries 4
@@ -278,16 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --l2-dir; default: 0.5)",
     )
     serve.add_argument(
-        "--warm-start", default=None, metavar="PATH",
-        help="load a region-cache snapshot (.npz) before serving "
-        "(requires --snapshot: warm-started state must be persisted "
-        "back, not silently discarded)",
-    )
-    serve.add_argument(
-        "--snapshot", default=None, metavar="PATH",
-        help="save the region cache to this .npz after serving",
-    )
-    serve.add_argument(
         "--broker", action="store_true",
         help="route queries through the coalescing QueryBroker "
         "(retries, backoff and a simulated transport; fused round "
@@ -493,8 +481,7 @@ def _validate_serve_flags(args: argparse.Namespace) -> str | None:
     """Reject invalid or contradictory ``serve`` flag combinations.
 
     Silently ignoring a flag the operator passed (``--ttl-s`` under LRU
-    eviction, transport-simulation knobs without ``--broker``, a
-    warm-start whose updated state would be dropped on exit) hides
+    eviction, transport-simulation knobs without ``--broker``) hides
     misconfiguration; every such combination exits with a clear message
     instead.  Returns the error text, or ``None`` when the flags are
     coherent.
@@ -536,10 +523,6 @@ def _validate_serve_flags(args: argparse.Namespace) -> str | None:
             return ("--broker coalesces queries inside one process; "
                     "with --gateway the queries run in worker processes "
                     "(drop --broker)")
-        if args.snapshot or args.warm_start:
-            return ("--snapshot/--warm-start act on the in-process "
-                    "cache; with --gateway the shared --l2-dir already "
-                    "persists every harvested region (drop them)")
         if args.eviction == "ttl":
             return ("--eviction ttl configures the in-process cache; "
                     "--gateway workers run an LRU L1 over the shared L2 "
@@ -552,9 +535,6 @@ def _validate_serve_flags(args: argparse.Namespace) -> str | None:
             return ("--compact-ratio tunes in-process compaction; the "
                     "gateway's writer never compacts while readers hold "
                     "the segments (drop --compact-ratio)")
-    if args.no_cache and (args.snapshot or args.warm_start):
-        return ("--snapshot/--warm-start require the cache enabled "
-                "(drop --no-cache)")
     if args.ttl_s is not None and args.eviction != "ttl":
         return (f"--ttl-s only applies to --eviction ttl; with --eviction "
                 f"{args.eviction} it would be silently ignored (drop "
@@ -563,12 +543,6 @@ def _validate_serve_flags(args: argparse.Namespace) -> str | None:
         return "--eviction ttl requires --ttl-s (entry lifetime in seconds)"
     if args.ttl_s is not None and args.ttl_s <= 0:
         return f"--ttl-s must be > 0, got {args.ttl_s}"
-    if args.warm_start and not args.snapshot and not args.l2_dir:
-        return ("--warm-start without --snapshot would serve from the "
-                "loaded regions and then silently discard every update at "
-                "exit; pass --snapshot PATH (the same path re-persists in "
-                "place), or --l2-dir DIR (the disk tier persists "
-                "demotions itself), or drop --warm-start")
     if args.no_cache and args.l2_dir:
         return ("--l2-dir selects the tiered region store and requires "
                 "the cache enabled (drop --no-cache)")
@@ -696,74 +670,69 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{args.eviction} eviction <= {args.max_entries} entries, "
           f"micro-batch <= {args.batch_size})\n")
 
+    cache_kwargs = dict(
+        max_entries=args.max_entries,
+        eviction=args.eviction,
+        ttl_s=args.ttl_s,
+        region_index=args.region_index,
+        index_bits=args.index_bits,
+        backend=args.backend,
+    )
+    # The tiered store is closed (draining L1 to disk) however the run
+    # ends, so regions solved before an error are not lost.
+    store = None
     try:
-        cache_kwargs = dict(
-            max_entries=args.max_entries,
-            eviction=args.eviction,
-            ttl_s=args.ttl_s,
-            region_index=args.region_index,
-            index_bits=args.index_bits,
-            backend=args.backend,
-        )
-        store = None
-        if args.l2_dir:
-            store = TieredRegionStore(
-                args.l2_dir,
-                l2_max_bytes=args.l2_max_bytes,
-                compact_ratio=args.compact_ratio,
-                **cache_kwargs,
+        try:
+            cache = None
+            if args.l2_dir:
+                cache = store = TieredRegionStore(
+                    args.l2_dir,
+                    l2_max_bytes=args.l2_max_bytes,
+                    compact_ratio=args.compact_ratio,
+                    **cache_kwargs,
+                )
+            elif not args.no_cache:
+                cache = RegionCache(**cache_kwargs)
+            service = InterpretationService(
+                api,
+                cache=cache,
+                enable_cache=not args.no_cache,
+                max_batch_size=args.batch_size,
+                broker=broker,
+                seed=args.seed,
+                backend=args.backend,
             )
-        service = InterpretationService(
-            api,
-            cache=(
-                None if args.no_cache or store is not None
-                else RegionCache(**cache_kwargs)
-            ),
-            store=store,
-            enable_cache=not args.no_cache,
-            max_batch_size=args.batch_size,
-            broker=broker,
-            seed=args.seed,
-            backend=args.backend,
-        )
-        if args.warm_start:
-            loaded = service.cache.load(args.warm_start)
-            where = "disk (L2) records" if store is not None else "entries"
-            print(f"warm start: {loaded} region {where} loaded from "
-                  f"{args.warm_start}\n")
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        except (ValidationError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
-    with service:
-        responses = service.interpret_many(requests)
-    errors = [r for r in responses if not r.ok]
-    print(f"{len(responses) - len(errors)} interpretations served, "
-          f"{len(errors)} errors")
-    print("\n--- stats endpoint ---")
-    print(service.stats().as_text())
-    if broker is not None:
-        broker_stats = broker.stats().as_dict()
-        print("\n--- query broker ---")
-        width = max(len(k) for k in broker_stats)
-        for key, value in broker_stats.items():
-            rendered = f"{value:.2f}" if isinstance(value, float) else value
-            print(f"{key:<{width}}  {rendered}")
-    if service.cache is not None:
-        cache_stats = service.cache.stats()
-        print("\n--- region cache ---")
-        width = max(len(k) for k in cache_stats.as_dict())
-        for key, value in cache_stats.as_dict().items():
-            print(f"{key:<{width}}  {value}")
-        if args.snapshot:
-            saved = service.cache.save(args.snapshot)
-            print(f"\nsnapshot: {saved} region entries saved to "
-                  f"{args.snapshot}")
-    if args.l2_dir and service.store is not None:
-        drained = service.store.drain()
-        service.store.close()
-        print(f"\nL2 tier persisted to {args.l2_dir} "
-              f"({drained} L1 entries drained to disk at shutdown)")
+        with service:
+            responses = service.interpret_many(requests)
+        errors = [r for r in responses if not r.ok]
+        print(f"{len(responses) - len(errors)} interpretations served, "
+              f"{len(errors)} errors")
+        print("\n--- stats endpoint ---")
+        print(service.stats().as_text())
+        if broker is not None:
+            broker_stats = broker.stats().as_dict()
+            print("\n--- query broker ---")
+            width = max(len(k) for k in broker_stats)
+            for key, value in broker_stats.items():
+                rendered = (
+                    f"{value:.2f}" if isinstance(value, float) else value
+                )
+                print(f"{key:<{width}}  {rendered}")
+        if service.cache is not None:
+            cache_stats = service.cache.stats().as_dict()
+            print("\n--- region cache ---")
+            width = max(len(k) for k in cache_stats)
+            for key, value in cache_stats.items():
+                print(f"{key:<{width}}  {value}")
+    finally:
+        if store is not None:
+            drained = store.close()
+            print(f"\nL2 tier persisted to {args.l2_dir} "
+                  f"({drained} L1 entries drained to disk at shutdown)")
     return 0 if not errors else 1
 
 

@@ -6,13 +6,14 @@ package converts that guarantee into serving machinery:
 
 * :class:`RegionCache` — certified core parameters reused across every
   later query landing in the same activation region, verified by a cheap
-  log-odds membership check, bounded by LRU or TTL eviction and
-  persistable to warm-start snapshots;
+  log-odds membership check, bounded by LRU or TTL eviction;
 * :class:`TieredRegionStore` (:mod:`repro.serving.store`) — the
   persistent two-tier store: the RAM cache as L1 over an
   append-only, memory-mapped, crash-safe disk segment store as L2;
   evictions demote to disk, disk hits promote back, and the region
-  inventory outlives both process memory and process lifetime;
+  inventory outlives both process memory and process lifetime (the
+  segment directory is the one persistence format: a restart over it
+  resumes every region);
 * :class:`InterpretationService` — request queue + micro-batching loop
   coalescing concurrent requests into lock-step batch round trips, with
   structured error envelopes and full meter accounting;

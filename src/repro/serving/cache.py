@@ -44,13 +44,6 @@ number of seconds after they were last inserted or served; expiry is
 applied lazily at lookup/insert time).  :class:`CacheStats` reports
 evictions and approximate resident bytes so operators can size
 ``max_entries`` against a memory budget (see ``docs/serving.md``).
-
-**Snapshots.** :meth:`RegionCache.save` / :meth:`RegionCache.load`
-persist the packed region arrays to a single ``.npz`` so a service can
-warm-start from a prior run's regions — the arrays round-trip bitwise,
-preserving the cache's exactness contract across restarts.  The format is
-shared with :class:`repro.serving.store.TieredRegionStore`, which
-bootstraps its disk tier from it.
 """
 
 from __future__ import annotations
@@ -81,7 +74,6 @@ __all__ = [
     "CacheStats",
     "DEFAULT_MEMBERSHIP_TOL",
     "EVICTION_POLICIES",
-    "SNAPSHOT_VERSION",
 ]
 
 #: Max absolute log-odds mismatch accepted by the membership check.  A
@@ -93,11 +85,6 @@ DEFAULT_MEMBERSHIP_TOL: float = 1e-6
 #: entry once ``max_entries`` is exceeded; ``"ttl"`` additionally expires
 #: entries ``ttl_s`` seconds after their last touch (insert or hit).
 EVICTION_POLICIES: tuple[str, ...] = ("lru", "ttl")
-
-#: On-disk snapshot format version (bumped on incompatible changes; load
-#: rejects snapshots written by a different version).
-SNAPSHOT_VERSION: int = 1
-
 
 @dataclass
 class RegionCacheEntry:
@@ -817,41 +804,26 @@ class RegionCache:
             decision_features=interpretation.decision_features,
             final_edge=interpretation.final_edge,
         )
-        self._install(entry, pairs)
-        self._insertions += 1
-        return True
-
-    def _install(
-        self, entry: RegionCacheEntry, pairs: tuple[tuple[int, int], ...]
-    ) -> None:
-        """Add a pre-validated entry (shared by :meth:`insert` and
-        :meth:`load`): packs the stacks, updates dimensionality/bytes and
-        enforces the resident bound."""
-        if self._dim is not None and entry.x0.shape[0] != self._dim:
-            raise ValidationError(
-                f"entry x0 has dimensionality {entry.x0.shape[0]} but "
-                f"cached entries have dimensionality {self._dim}"
-            )
-        group_key = (entry.target_class, pairs)
         self._entries[entry.key] = entry
-        group = self._groups.get(group_key)
         if group is None:
             group = _PackedGroup(
                 pairs,
-                entry.x0.shape[0],
-                index=self._new_index(entry.x0),
+                x0.shape[0],
+                index=self._new_index(x0),
                 backend=self.backend,
             )
             self._groups[group_key] = group
         group.add(entry)
         self._group_of[entry.key] = group_key
-        self._dim = entry.x0.shape[0]
+        self._dim = x0.shape[0]
         max_class = max((max(c, cp) for c, cp in pairs), default=-1)
         self._min_classes = max(self._min_classes or 0, max_class + 1)
         self._resident_bytes += entry.resident_bytes
         entry.last_touch = self._clock()
         while len(self._entries) > self.max_entries:
             self._evict(next(iter(self._entries)))
+        self._insertions += 1
+        return True
 
     def _new_index(self, x0: np.ndarray) -> RegionSignIndex | None:
         """A fresh per-group sign index (``None`` with the index off)."""
@@ -913,60 +885,8 @@ class RegionCache:
             resident_bytes=self._resident_bytes,
         )
 
-    # ------------------------------------------------------------------ #
-    # Snapshot persistence
-    # ------------------------------------------------------------------ #
-    def save(self, path) -> int:
-        """Persist the resident entries to ``path`` as a single ``.npz``.
-
-        The packed per-group arrays (``W``, ``B``, anchors, decision
-        features, hypercube edges) are written losslessly, so entries
-        served after a :meth:`load` are bitwise the entries saved.
-        Counters, TTL leases and solve diagnostics are *not* persisted —
-        a snapshot is a warm-start payload, not a full process image.
-
-        Returns the number of entries written.
-        """
-        entries = list(self._entries.values())
-        np.savez_compressed(
-            path, **pack_snapshot(entries, pairs_of=self._pairs_of)
-        )
-        return len(entries)
-
     def _pairs_of(self, entry: RegionCacheEntry) -> tuple[tuple[int, int], ...]:
         return self._group_of[entry.key][1]
-
-    def load(self, path) -> int:
-        """Warm-start from a snapshot written by :meth:`save`.
-
-        Entries are installed in their saved recency order (oldest
-        first), so if the snapshot exceeds ``max_entries`` the *stalest*
-        entries are the ones dropped.  Every installed entry receives a
-        fresh TTL lease.  Loads do not count as insertions — the
-        ``insertions`` counter keeps meaning "certified solves accepted
-        from the interpreter".
-
-        Returns the number of entries installed (before any capacity
-        evictions).
-
-        Raises
-        ------
-        ValidationError
-            If the cache is not empty, the snapshot version is
-            unsupported, or the snapshot's dimensionality is internally
-            inconsistent.
-        """
-        if self._entries:
-            raise ValidationError(
-                "load requires an empty cache (call clear() first)"
-            )
-        records = unpack_snapshot(np.load(path))
-        for target_class, pairs, W, b, x0, feats, edge in records:
-            entry = _entry_from_record(
-                next(self._keys), target_class, pairs, W, b, x0, feats, edge
-            )
-            self._install(entry, pairs)
-        return len(records)
 
     # ------------------------------------------------------------------ #
     def _rebase(self, entry: RegionCacheEntry, x0: np.ndarray) -> Interpretation:
@@ -987,145 +907,3 @@ class RegionCache:
             n_queries=1,
             samples=None,
         )
-
-
-# --------------------------------------------------------------------- #
-# Snapshot format (shared with the tiered store)
-# --------------------------------------------------------------------- #
-def pack_snapshot(
-    entries: list[RegionCacheEntry],
-    *,
-    pairs_of: Callable[[RegionCacheEntry], tuple[tuple[int, int], ...]],
-) -> dict[str, np.ndarray]:
-    """Serialize entries (in recency order, oldest first) to npz arrays.
-
-    Per (target class, pair set) group ``gi`` the snapshot holds
-    ``g{gi}_target`` (scalar), ``g{gi}_pairs`` ``(P, 2)``, ``g{gi}_rank``
-    ``(m,)`` global recency ranks, ``g{gi}_w`` ``(m, P, d)``, ``g{gi}_b``
-    ``(m, P)``, ``g{gi}_x0`` ``(m, d)``, ``g{gi}_feats`` ``(m, d)`` and
-    ``g{gi}_edge`` ``(m,)`` — all float64, round-tripping bitwise.
-    """
-    grouped: dict[
-        tuple[int, tuple[tuple[int, int], ...]],
-        list[tuple[int, RegionCacheEntry]],
-    ] = {}
-    for rank, entry in enumerate(entries):
-        key = (entry.target_class, pairs_of(entry))
-        grouped.setdefault(key, []).append((rank, entry))
-    arrays: dict[str, np.ndarray] = {
-        "version": np.asarray(SNAPSHOT_VERSION, dtype=np.int64),
-        "n_groups": np.asarray(len(grouped), dtype=np.int64),
-    }
-    for gi, ((target, pairs), members) in enumerate(grouped.items()):
-        arrays[f"g{gi}_target"] = np.asarray(target, dtype=np.int64)
-        arrays[f"g{gi}_pairs"] = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        arrays[f"g{gi}_rank"] = np.asarray(
-            [rank for rank, _ in members], dtype=np.int64
-        )
-        arrays[f"g{gi}_w"] = np.stack(
-            [
-                np.stack([e.pair_estimates[p].weights for p in pairs])
-                for _, e in members
-            ]
-        )
-        arrays[f"g{gi}_b"] = np.asarray(
-            [
-                [e.pair_estimates[p].intercept for p in pairs]
-                for _, e in members
-            ],
-            dtype=np.float64,
-        )
-        arrays[f"g{gi}_x0"] = np.stack([e.x0 for _, e in members])
-        arrays[f"g{gi}_feats"] = np.stack(
-            [e.decision_features for _, e in members]
-        )
-        arrays[f"g{gi}_edge"] = np.asarray(
-            [e.final_edge for _, e in members], dtype=np.float64
-        )
-    return arrays
-
-
-_SnapshotRecord = tuple[
-    int,                              # target class
-    tuple[tuple[int, int], ...],      # pair set
-    np.ndarray,                       # W (P, d)
-    np.ndarray,                       # b (P,)
-    np.ndarray,                       # x0 (d,)
-    np.ndarray,                       # decision features (d,)
-    float,                            # final edge
-]
-
-
-def unpack_snapshot(data) -> list[_SnapshotRecord]:
-    """Deserialize :func:`pack_snapshot` arrays back to per-entry records,
-    sorted by their saved recency rank (oldest first).
-
-    Raises
-    ------
-    ValidationError
-        On a missing/unsupported snapshot version.
-    """
-    if "version" not in data:
-        raise ValidationError("not a region-cache snapshot (missing version)")
-    version = int(data["version"])
-    if version != SNAPSHOT_VERSION:
-        raise ValidationError(
-            f"unsupported snapshot version {version} "
-            f"(this build reads {SNAPSHOT_VERSION})"
-        )
-    records: list[tuple[int, _SnapshotRecord]] = []
-    for gi in range(int(data["n_groups"])):
-        target = int(data[f"g{gi}_target"])
-        pairs = tuple(
-            (int(c), int(cp)) for c, cp in data[f"g{gi}_pairs"]
-        )
-        ranks = data[f"g{gi}_rank"]
-        W, b = data[f"g{gi}_w"], data[f"g{gi}_b"]
-        X0, feats = data[f"g{gi}_x0"], data[f"g{gi}_feats"]
-        edges = data[f"g{gi}_edge"]
-        for i in range(len(ranks)):
-            records.append(
-                (
-                    int(ranks[i]),
-                    (target, pairs, W[i], b[i], X0[i], feats[i],
-                     float(edges[i])),
-                )
-            )
-    records.sort(key=lambda item: item[0])
-    return [record for _, record in records]
-
-
-def _entry_from_record(
-    key: int,
-    target_class: int,
-    pairs: tuple[tuple[int, int], ...],
-    W: np.ndarray,
-    b: np.ndarray,
-    x0: np.ndarray,
-    feats: np.ndarray,
-    edge: float,
-) -> RegionCacheEntry:
-    """Rebuild a cache entry from one snapshot record.
-
-    The reconstructed estimates are marked certified (only certified
-    interpretations can enter a cache, so only certified ones are ever
-    saved); the solve residual is not persisted and reads as NaN.
-    """
-    estimates = {
-        pair: CoreParameterEstimate(
-            c=pair[0],
-            c_prime=pair[1],
-            weights=W[i],
-            intercept=float(b[i]),
-            certified=True,
-        )
-        for i, pair in enumerate(pairs)
-    }
-    return RegionCacheEntry(
-        key=key,
-        x0=as_float64(x0),
-        target_class=target_class,
-        pair_estimates=estimates,
-        decision_features=as_float64(feats),
-        final_edge=edge,
-    )

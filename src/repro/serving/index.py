@@ -245,8 +245,8 @@ class RegionSignIndex:
     def add_batch(self, keys, anchors: np.ndarray) -> None:
         """Bulk-index entries (one code matmul, one block per bucket).
 
-        ``keys`` must be new to the index — bulk loads (snapshot
-        warm-starts, L2 open, benchmarks) always start empty.
+        ``keys`` must be new to the index — bulk loads (L2 open,
+        benchmarks) always start empty.
         """
         keys = list(keys)
         anchors = np.ascontiguousarray(anchors, dtype=np.float64)

@@ -104,19 +104,15 @@ class InterpretationService:
         :class:`BatchOpenAPIInterpreter` is built from ``seed`` and
         ``interpreter_kwargs`` when omitted.
     cache:
-        A pre-configured :class:`RegionCache` (or any object with the
-        same ``lookup``/``insert``/``stats`` surface, e.g. an
-        :class:`~repro.serving.store.L2ReaderCache`), or ``None`` for a
-        default one.  Pass
-        ``enable_cache=False`` to disable region reuse entirely (every
-        request solves fresh — the baseline the throughput benchmark
-        compares against).
-    store:
-        A :class:`~repro.serving.store.TieredRegionStore` to serve
-        regions from instead of a RAM-only cache (L1 evictions demote
-        to disk; L1 misses scan and promote from disk).  Mutually
-        exclusive with ``cache`` and with ``enable_cache=False`` — the
-        store *is* the region tier.
+        The region tier: a pre-configured :class:`RegionCache`, or any
+        object with the same ``lookup``/``insert``/``stats`` surface — a
+        :class:`~repro.serving.store.TieredRegionStore` (RAM L1 over a
+        disk L2; the caller keeps its handle and closes it) or an
+        :class:`~repro.serving.store.L2ReaderCache`.  ``None`` builds a
+        default :class:`RegionCache`.  Pass ``enable_cache=False`` (and
+        no ``cache``) to disable region reuse entirely (every request
+        solves fresh — the baseline the throughput benchmark compares
+        against).
     max_batch_size:
         Micro-batch cap for the background loop.
     max_wait_s:
@@ -138,7 +134,7 @@ class InterpretationService:
         and is recorded as the service's *effective* backend
         (``self.backend``; surfaces in
         :meth:`~repro.serving.metrics.ServiceStats.as_dict` under
-        ``"backend"``).  When a pre-built ``cache``/``store`` is passed,
+        ``"backend"``).  When a pre-built ``cache`` is passed,
         *its* backend is the effective one — the tier that runs the
         kernels decides.  ``None`` resolves the process default;
         requesting an unavailable accelerator warns once and serves
@@ -148,7 +144,8 @@ class InterpretationService:
     ------
     ValidationError
         For a non-positive ``max_batch_size``, negative ``max_wait_s``,
-        or a ``broker`` not backed by ``api``.
+        a ``broker`` not backed by ``api``, or a ``cache`` passed with
+        ``enable_cache=False``.
 
     Examples
     --------
@@ -170,7 +167,6 @@ class InterpretationService:
         *,
         interpreter: BatchOpenAPIInterpreter | None = None,
         cache: RegionCache | None = None,
-        store=None,
         enable_cache: bool = True,
         max_batch_size: int = 64,
         max_wait_s: float = 0.002,
@@ -190,43 +186,25 @@ class InterpretationService:
                 "broker must be backed by the service's own api (meter "
                 "accounting reads the underlying API's counters)"
             )
-        if store is not None:
-            if cache is not None:
-                raise ValidationError(
-                    "pass either cache= or store=, not both (the tiered "
-                    "store already contains its own L1 cache)"
-                )
-            if not enable_cache:
-                raise ValidationError(
-                    "store= requires the region tier enabled (drop "
-                    "enable_cache=False)"
-                )
+        if cache is not None and not enable_cache:
+            raise ValidationError(
+                "cache= requires the region tier enabled (drop "
+                "enable_cache=False, or the cache)"
+            )
         self.api = api
         self.broker = broker
         resolved_backend = resolve_backend(backend)
         self.interpreter = interpreter or BatchOpenAPIInterpreter(
             seed=seed, **interpreter_kwargs
         )
-        self.store = store
-        # `cache if cache is not None` — NOT `cache or ...`: caches define
-        # __len__, so a freshly configured (empty) cache is falsy and
-        # `or` would silently swap it for a default-configured one.  A
-        # tiered store, when given, *is* the region tier.
-        self.cache: RegionCache | None = (
-            (
-                store
-                if store is not None
-                else (
-                    cache
-                    if cache is not None
-                    else RegionCache(backend=resolved_backend)
-                )
-            )
-            if enable_cache
-            else None
-        )
+        # `cache is None` — NOT `not cache`: caches define __len__, so a
+        # freshly configured (empty) cache is falsy and would be silently
+        # swapped for a default-configured one.
+        if cache is None and enable_cache:
+            cache = RegionCache(backend=resolved_backend)
+        self.cache: RegionCache | None = cache
         # The effective backend is whatever the region tier actually runs
-        # its kernels on (a pre-built cache/store carries its own).
+        # its kernels on (a pre-built cache carries its own).
         self.backend = (
             getattr(self.cache, "backend", None) or resolved_backend
         )

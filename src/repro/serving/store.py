@@ -50,7 +50,7 @@ exceeds ``compact_ratio`` — so total segment bytes stay within
 ``max_bytes / (1 - compact_ratio)`` plus one in-flight record.
 
 See ``docs/serving.md`` for the operator guide (CLI flags, sizing,
-bootstrap workflow) and ``docs/architecture.md`` for where the tier
+restart workflow) and ``docs/architecture.md`` for where the tier
 sits in the data flow.
 """
 
@@ -76,11 +76,8 @@ from repro.serving.cache import (
     DEFAULT_MEMBERSHIP_TOL,
     RegionCache,
     RegionCacheEntry,
-    _entry_from_record,
     _PackedGroup,
     check_lookup_shapes,
-    pack_snapshot,
-    unpack_snapshot,
 )
 from repro.serving.index import (
     DEFAULT_INDEX_BITS,
@@ -284,7 +281,7 @@ def _pack_payload(
 
 
 def _unpack_payload(buf) -> tuple:
-    """Inverse of :func:`_pack_payload`; returns a snapshot-format record
+    """Inverse of :func:`_pack_payload`; returns the region record
     ``(target, pairs, W, b, x0, feats, edge)`` of fresh (owned) arrays."""
     meta = np.frombuffer(buf, dtype="<i8", count=3, offset=0)
     target_class, P, d = (int(v) for v in meta)
@@ -902,9 +899,9 @@ class SegmentStore:
 
     def sync(self) -> None:
         """Force every segment to stable storage and publish the index —
-        the bulk-append counterpart of per-append fsync (used by
-        :meth:`TieredRegionStore.load`, which disables ``fsync`` for the
-        duration of a bootstrap and syncs once at the end)."""
+        the bulk-append counterpart of per-append fsync, for a writer
+        opened with ``fsync=False`` that appends a batch and then syncs
+        once."""
         self._require_writable("sync")
         for name in self._segments:
             path = self._seg_path(name)
@@ -972,8 +969,9 @@ class SegmentStore:
         return memoryview(mm)[record.offset + _HEADER.size:end]
 
     def read(self, signature: int) -> tuple:
-        """The snapshot-format record of a live region (owned arrays —
-        the returned floats are bitwise the bytes that were appended).
+        """The record ``(target, pairs, W, b, x0, feats, edge)`` of a live
+        region (owned arrays — the returned floats are bitwise the bytes
+        that were appended).
 
         Raises
         ------
@@ -1357,7 +1355,9 @@ class TieredRegionStore:
     >>> hit = store.lookup(ds.X[0], y, interp.target_class)
     >>> bool(np.array_equal(hit.decision_features, interp.decision_features))
     True
-    >>> store.close(); tmp.cleanup()
+    >>> store.close()            # drains the L1-only region to disk
+    1
+    >>> tmp.cleanup()
     """
 
     #: ``method`` tag carried by store-served interpretations — the same
@@ -1439,13 +1439,6 @@ class TieredRegionStore:
         with self._lock:
             l2_sigs = self._l2.live_signatures()
         return _count_distinct(self._l1, l2_sigs)
-
-    def _l1_entries(self) -> list[tuple[RegionCacheEntry, tuple]]:
-        """Every L1-resident (entry, pairs), in recency order."""
-        return [
-            (entry, self._l1._pairs_of(entry))
-            for entry in self._l1._entries.values()
-        ]
 
     # ------------------------------------------------------------------ #
     # The serving surface
@@ -1539,19 +1532,21 @@ class TieredRegionStore:
         newly written to disk (already-live ones are skipped)."""
         with self._lock:
             before = self._demotions
-        for entry, pairs in self._l1_entries():
-            self._demote(entry, pairs)
+        for entry in list(self._l1._entries.values()):
+            self._demote(entry, self._l1._pairs_of(entry))
         with self._lock:
             return self._demotions - before
 
-    def close(self) -> None:
+    def close(self) -> int:
         """Drain L1 to disk, persist the L2 index, release file handles.
 
         After a clean close, reopening the directory resumes the *full*
-        live inventory — both tiers' worth."""
-        self.drain()
+        live inventory — both tiers' worth.  Returns the number of
+        regions the drain newly wrote (see :meth:`drain`)."""
+        drained = self.drain()
         with self._lock:
             self._l2.close()
+        return drained
 
     def __enter__(self) -> "TieredRegionStore":
         return self
@@ -1579,86 +1574,6 @@ class TieredRegionStore:
                 l2_index_hits=self._l2.index_hits,
                 l2_index_fallbacks=self._l2.index_fallbacks,
             )
-
-    # ------------------------------------------------------------------ #
-    # Snapshot persistence (format shared with the RAM tiers)
-    # ------------------------------------------------------------------ #
-    def save(self, path) -> int:
-        """Snapshot every live region (both tiers) to one ``.npz``.
-
-        The format is :meth:`RegionCache.save`'s, so a tiered snapshot
-        warm-starts either tier — a :class:`RegionCache` or another
-        tiered store (where :meth:`load` bootstraps it into L2).  Regions
-        resident in both tiers are written once, from their L1 copy
-        (bitwise identical to the disk copy by construction).
-
-        Returns the number of entries written.
-        """
-        entries: list[RegionCacheEntry] = []
-        pairs_by_id: dict[int, tuple[tuple[int, int], ...]] = {}
-        seen: set[int] = set()
-        for entry, pairs in self._l1_entries():
-            entries.append(entry)
-            pairs_by_id[id(entry)] = pairs
-            seen.add(signature_of(entry))
-        with self._lock:
-            for signature in self._l2.live_signatures() - seen:
-                record = self._l2.read(signature)
-                entry = _entry_from_record(-1, *record)
-                entries.append(entry)
-                pairs_by_id[id(entry)] = record[1]
-        np.savez_compressed(
-            path,
-            **pack_snapshot(entries, pairs_of=lambda e: pairs_by_id[id(e)]),
-        )
-        return len(entries)
-
-    def load(self, path) -> int:
-        """Bootstrap the *disk* tier from a region-cache snapshot.
-
-        Every snapshot record is appended to L2 (keyed by its recomputed
-        signature): serving starts with cold RAM and a warm disk, and
-        the hot set promotes itself into L1 on first touch.  This is the
-        warm-start path for inventories larger than RAM — the snapshot
-        never has to fit in memory-resident form.
-
-        Returns the number of records bootstrapped (duplicates of
-        already-live disk regions are skipped).
-
-        Raises
-        ------
-        ValidationError
-            If the store is non-empty, or on an unsupported snapshot
-            (see :meth:`RegionCache.load`).
-        """
-        if len(self):
-            raise ValidationError(
-                "load requires an empty store (call clear() first)"
-            )
-        records = unpack_snapshot(np.load(path))
-        loaded = 0
-        with self._lock:
-            # Bulk mode: per-record fsync would cost O(records) syncs;
-            # one segment fsync + one index checkpoint at the end gives
-            # the same durability for a bootstrap (nothing is
-            # acknowledged until load returns).
-            fsync = self._l2.fsync
-            self._l2.fsync = False
-            try:
-                for target_class, pairs, W, b, x0, feats, edge in records:
-                    signature = region_signature(target_class, pairs, W, b)
-                    if self._l2.append(
-                        signature, target_class, pairs, W, b, x0, feats,
-                        edge,
-                    ):
-                        loaded += 1
-            finally:
-                self._l2.fsync = fsync
-                if fsync:
-                    self._l2.sync()
-                else:
-                    self._l2.persist_index()
-        return loaded
 
 
 def _count_distinct(l1: RegionCache, l2_signatures: set[int]) -> int:

@@ -938,7 +938,7 @@ def run_tiered_store_benchmark(
         tiered, bitwise_b, tiered_service = _run_arm(
             model, requests, label="tiered",
             service_factory=lambda api: InterpretationService(
-                api, store=store, max_batch_size=8, seed=seed,
+                api, cache=store, max_batch_size=8, seed=seed,
             ),
         )
         store_stats = store.stats()
@@ -971,7 +971,7 @@ def run_tiered_store_benchmark(
             churn_store.clear()
         churn_api = PredictionAPI(model)
         churn_service = InterpretationService(
-            churn_api, store=churn_store, max_batch_size=8, seed=seed,
+            churn_api, cache=churn_store, max_batch_size=8, seed=seed,
         )
         max_total = 0
         chunk = 16
@@ -1381,7 +1381,7 @@ def run_region_index_benchmark(
                 index_shortlist=index_shortlist,
             )
             service = InterpretationService(
-                PredictionAPI(model), store=store, max_batch_size=8,
+                PredictionAPI(model), cache=store, max_batch_size=8,
                 seed=seed,
             )
             responses = service.interpret_many(requests)

@@ -4,8 +4,8 @@ The index's contract (``repro/serving/index.py``) is transparency: it
 only ever *narrows* the candidate set the exact membership matmul
 decides over, and a shortlist miss falls back to the full scan — so
 every lookup outcome (hit/miss, winner, distance) must be identical
-with the index on or off, across insertion, eviction, snapshot
-warm-start, demotion/promotion, and compaction.  These tests pin that
+with the index on or off, across insertion, eviction, L2 reopen,
+demotion/promotion, and compaction.  These tests pin that
 property at every layer (L1 cache, L2 segment store, tiered store),
 plus the two PR 6 scan-path regressions (the ``max_candidates``
 false-miss fix lives in ``test_serving.py``; the L2 framing dedup and
@@ -200,20 +200,6 @@ class TestL1Equivalence:
         # tracks exactly the resident keys.
         for group in indexed._groups.values():
             assert sorted(group.index._code_of) == sorted(group.keys)
-
-    def test_snapshot_warm_start_populates_index(self, tmp_path):
-        rng = np.random.default_rng(12)
-        plain = RegionCache()
-        entries = self._fill((plain,), rng, m=20)
-        path = tmp_path / "regions.npz"
-        assert plain.save(path) == 20
-        indexed = RegionCache(region_index=True)
-        assert indexed.load(path) == 20
-        probes = [
-            (x0, _probs_for_claims(W @ x0 + b)) for x0, W, b in entries
-        ]
-        self._assert_identical(plain, indexed, probes)
-        assert indexed.stats().index_hits > 0
 
     def test_fallback_finds_far_passing_entry(self):
         """A passing entry outside the probed buckets (or ranked beyond

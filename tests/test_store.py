@@ -11,9 +11,7 @@ Covers the store module's three contracts:
 * **bitwise transparency** — interpretations are identical with L2 off,
   L2 on, and after demote → promote round trips through the mmap'd
   segments (the paper's Theorem 2 exactness contract, extended to
-  disk);
-* **snapshot interop** — `.npz` region snapshots written by either
-  tier bootstrap the disk tier, bitwise.
+  disk).
 
 It also pins the stability of :func:`region_signature`, the key every
 L2 record is stored under.
@@ -354,93 +352,17 @@ class TestTieredRegionStore:
             )
         reopened.close()
 
-    def test_snapshot_bootstraps_l2_bitwise(self, tmp_path):
-        rng = np.random.default_rng(8)
-        store = TieredRegionStore(tmp_path / "src", max_entries=2)
-        interps = [
-            _affine_interp(
-                rng.normal(size=4), rng.normal(size=(2, 4)),
-                rng.normal(size=2),
-            )
-            for _ in range(5)
-        ]
-        for interp in interps:
-            store.insert(interp)
-        snap = tmp_path / "regions.npz"
-        assert store.save(snap) == 5                # both tiers, deduped
-        store.close()
-
-        boot = TieredRegionStore(tmp_path / "boot", max_entries=2)
-        assert boot.load(snap) == 5
-        assert boot.stats().l2_entries == 5         # cold RAM, warm disk
-        assert len(boot.l1) == 0
-        for interp in interps:
-            hit = boot.lookup(interp.x0, _y0_for(interp), interp.target_class)
-            assert hit is not None
-            assert (
-                hit.decision_features.tobytes()
-                == interp.decision_features.tobytes()
-            )
-        boot.close()
-
-    def test_region_cache_snapshot_bootstraps_l2(self, tmp_path):
-        """`.npz` snapshots written by the RAM tiers are L2 bootstrap
-        payloads — the PR's snapshot-rewiring contract."""
-        rng = np.random.default_rng(9)
-        cache = RegionCache()
-        interp = _affine_interp(
-            rng.normal(size=4), rng.normal(size=(2, 4)), rng.normal(size=2)
-        )
-        cache.insert(interp)
-        snap = tmp_path / "cache.npz"
-        cache.save(snap)
-
-        store = TieredRegionStore(tmp_path / "boot")
-        assert store.load(snap) == 1
-        claims = np.asarray(
-            [
-                interp.pair_estimates[p].weights @ interp.x0
-                + interp.pair_estimates[p].intercept
-                for p in sorted(interp.pair_estimates)
-            ]
-        )
-        hit = store.lookup(
-            interp.x0, _probs_for_claims(claims), interp.target_class
-        )
-        assert hit is not None
-        assert (
-            hit.decision_features.tobytes()
-            == interp.decision_features.tobytes()
-        )
-        store.close()
-
-    def test_load_requires_empty_store(self, tmp_path):
-        rng = np.random.default_rng(10)
-        store = TieredRegionStore(tmp_path / "a")
-        store.insert(
-            _affine_interp(
-                rng.normal(size=4), rng.normal(size=(2, 4)),
-                rng.normal(size=2),
-            )
-        )
-        snap = tmp_path / "snap.npz"
-        store.save(snap)
-        with pytest.raises(ValidationError):
-            store.load(snap)
-        store.clear()
-        assert len(store) == 0
-        assert store.load(snap) == 1
-        store.close()
-
     def test_service_rejects_cache_and_store_together(
         self, relu_model, tmp_path
     ):
+        """A tier passed with ``enable_cache=False`` would be silently
+        ignored; the service refuses the contradiction instead."""
         api = PredictionAPI(relu_model)
         store = TieredRegionStore(tmp_path)
-        with pytest.raises(ValidationError):
-            InterpretationService(api, cache=RegionCache(), store=store)
-        with pytest.raises(ValidationError):
-            InterpretationService(api, store=store, enable_cache=False)
+        with pytest.raises(ValidationError, match="enable_cache"):
+            InterpretationService(api, cache=store, enable_cache=False)
+        with pytest.raises(ValidationError, match="enable_cache"):
+            InterpretationService(api, cache=RegionCache(), enable_cache=False)
         store.close()
 
 
@@ -466,7 +388,7 @@ class TestTieredTransparency:
         # Arm 2: tiered store (L2 on) at the same L1 bound.
         store = TieredRegionStore(tmp_path, max_entries=4)
         tiered_service = InterpretationService(
-            PredictionAPI(relu_model), store=store, max_batch_size=8, seed=0,
+            PredictionAPI(relu_model), cache=store, max_batch_size=8, seed=0,
         )
         if background:
             with tiered_service:
@@ -513,7 +435,7 @@ class TestTieredTransparency:
         api = PredictionAPI(relu_model)
         store = TieredRegionStore(tmp_path, max_entries=2)
         service = InterpretationService(
-            api, store=store, seed=0, max_batch_size=4, max_wait_s=0.002,
+            api, cache=store, seed=0, max_batch_size=4, max_wait_s=0.002,
         )
         results: dict[int, bool] = {}
 
@@ -556,7 +478,7 @@ def _y0_for(interp):
 
 
 def _record_of(interp):
-    """``interp`` in the snapshot record format ``SegmentStore.append``
+    """``interp`` in the region record format ``SegmentStore.append``
     takes — the bytes a gateway writer harvests from a worker."""
     pairs = tuple(sorted(interp.pair_estimates))
     W = np.stack([interp.pair_estimates[p].weights for p in pairs])

@@ -161,9 +161,8 @@ class TestCLI:
 
 class TestServeFlagValidation:
     """Regression: ``serve`` used to silently accept contradictory flag
-    combinations (``--ttl-s`` under LRU eviction was ignored, warm-start
-    state was discarded at exit, transport knobs without ``--broker`` did
-    nothing).  Every such combination must exit 2 with a clear error."""
+    combinations (``--ttl-s`` under LRU eviction was ignored, transport
+    knobs without ``--broker`` did nothing).  Every such combination must exit 2 with a clear error."""
 
     def run_serve(self, capsys, *flags: str) -> tuple[int, str]:
         code = main(["serve", *flags])
@@ -185,18 +184,6 @@ class TestServeFlagValidation:
         )
         assert code == 2
         assert "--ttl-s" in err
-
-    def test_warm_start_requires_snapshot(self, capsys):
-        code, err = self.run_serve(capsys, "--warm-start", "regions.npz")
-        assert code == 2
-        assert "--warm-start" in err and "--snapshot" in err
-
-    def test_no_cache_conflicts_with_snapshot(self, capsys):
-        code, err = self.run_serve(
-            capsys, "--no-cache", "--snapshot", "regions.npz"
-        )
-        assert code == 2
-        assert "--no-cache" in err
 
     def test_transport_flags_require_broker(self, capsys):
         for flags in (
@@ -289,22 +276,11 @@ class TestServeFlagValidation:
         assert _INDEX_FLAG_DEFAULTS["index_bits"] == DEFAULT_INDEX_BITS
         assert _MAX_INDEX_BITS == MAX_INDEX_BITS
 
-    def test_warm_start_allowed_with_l2_dir_alone(self):
-        """The disk tier persists updates itself, so --warm-start no
-        longer demands --snapshot when --l2-dir is given."""
-        from repro.cli import _validate_serve_flags
-
-        args = build_parser().parse_args(
-            ["serve", "--warm-start", "r.npz", "--l2-dir", "l2"]
-        )
-        assert _validate_serve_flags(args) is None
-
     def test_coherent_flags_pass_validation(self):
         from repro.cli import _validate_serve_flags
 
         args = build_parser().parse_args(
             ["serve", "--eviction", "ttl", "--ttl-s", "30",
-             "--warm-start", "r.npz", "--snapshot", "r.npz",
              "--broker", "--latency-ms", "2", "--failure-rate", "0.05"]
         )
         assert _validate_serve_flags(args) is None
@@ -317,6 +293,59 @@ class TestServeFlagValidation:
              "--compact-ratio", "0.6", "--max-entries", "64"]
         )
         assert _validate_serve_flags(args) is None
+
+
+class TestServeL2Shutdown:
+    """``serve --l2-dir`` closes its tiered store however the replay
+    ends: L1-only regions reach the disk even when serving raises, and
+    a clean run drains L1 exactly once."""
+
+    FLAGS = ["serve", "--dataset", "blobs", "--requests", "40",
+             "--clusters", "6", "--max-entries", "64"]
+
+    def test_regions_persist_when_replay_raises(self, tmp_path, monkeypatch):
+        from repro.serving import InterpretationService, TieredRegionStore
+
+        serve_all = InterpretationService.interpret_many
+        solved = {}
+
+        def serve_then_raise(service, *args, **kwargs):
+            serve_all(service, *args, **kwargs)
+            solved["regions"] = len(service.cache)
+            raise RuntimeError("replay failed after serving")
+
+        monkeypatch.setattr(
+            InterpretationService, "interpret_many", serve_then_raise
+        )
+        directory = tmp_path / "l2"
+        with pytest.raises(RuntimeError, match="replay failed"):
+            main([*self.FLAGS, "--l2-dir", str(directory)])
+        # max-entries 64 never evicts: every region lived only in L1.
+        assert solved["regions"] > 0
+        reopened = TieredRegionStore(directory)
+        assert len(reopened.l2) == solved["regions"]
+        reopened.close()
+
+    def test_clean_run_drains_once(self, tmp_path, monkeypatch, capsys):
+        from repro.serving import TieredRegionStore
+
+        drain = TieredRegionStore.drain
+        calls = []
+
+        def counted_drain(store):
+            calls.append(drain(store))
+            return calls[-1]
+
+        monkeypatch.setattr(TieredRegionStore, "drain", counted_drain)
+        directory = tmp_path / "l2"
+        assert main([*self.FLAGS, "--l2-dir", str(directory)]) == 0
+        assert len(calls) == 1 and calls[0] > 0
+        assert (f"({calls[0]} L1 entries drained to disk at shutdown)"
+                in capsys.readouterr().out)
+        monkeypatch.undo()
+        reopened = TieredRegionStore(directory)
+        assert len(reopened.l2) == calls[0]
+        reopened.close()
 
 
 class TestGatewayFlagValidation:
@@ -388,8 +417,6 @@ class TestGatewayFlagValidation:
         for flags, named in (
             (["--no-cache"], "--no-cache"),
             (["--broker"], "--broker"),
-            (["--snapshot", "r.npz"], "--snapshot"),
-            (["--warm-start", "r.npz"], "--warm-start"),
             (["--eviction", "ttl", "--ttl-s", "30"], "--eviction"),
             (["--l2-max-bytes", "1048576"], "--l2-max-bytes"),
             (["--compact-ratio", "0.6"], "--compact-ratio"),
