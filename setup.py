@@ -15,11 +15,4 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
-    # Optional accelerated array backends for the hot kernels
-    # (`--backend cupy|torch`; see repro/core/backend.py).  Absent
-    # libraries degrade to numpy with a warning, so these are never
-    # required.
-    extras_require={
-        "gpu": ["cupy-cuda12x>=12.0", "torch>=2.1"],
-    },
 )

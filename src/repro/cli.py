@@ -100,12 +100,9 @@ _INDEX_FLAG_DEFAULTS = {
 }
 _MAX_INDEX_BITS = 64
 
-#: Backend names the serve ``--backend`` flag accepts.  Mirrors
-#: ``repro.core.backend.BACKEND_NAMES`` (pinned by a test; kept literal
-#: so the parser stays import-light).  Requesting an accelerator whose
-#: library is absent degrades to numpy with one warning — the stats
-#: endpoint reports the *effective* backend.
-_BACKEND_CHOICES = ("numpy", "cupy", "torch")
+#: Default micro-batch cap of ``serve``, shared with the serve-flag
+#: validation (``--gateway`` workers keep their service default).
+_BATCH_SIZE_DEFAULT = 32
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct anchor instances in the workload (default: 12)",
     )
     serve.add_argument(
-        "--batch-size", type=int, default=32,
-        help="micro-batch cap (default: 32)",
+        "--batch-size", type=int, default=_BATCH_SIZE_DEFAULT,
+        help=f"micro-batch cap (default: {_BATCH_SIZE_DEFAULT})",
     )
     serve.add_argument(
         "--no-cache", action="store_true",
@@ -249,14 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=_INDEX_FLAG_DEFAULTS["index_bits"],
         help="sign bits (hyperplanes) of the region index (requires "
         "--region-index; default: 16)",
-    )
-    serve.add_argument(
-        "--backend", default="numpy", choices=_BACKEND_CHOICES,
-        help="array backend for the hot kernels (batched solves, "
-        "membership-scan matmuls, sign-index projections); an "
-        "unavailable accelerator falls back to numpy with a warning "
-        "and the stats endpoint reports the effective backend "
-        "(default: numpy)",
     )
     serve.add_argument(
         "--l2-dir", default=None, metavar="DIR",
@@ -527,6 +516,10 @@ def _validate_serve_flags(args: argparse.Namespace) -> str | None:
             return ("--eviction ttl configures the in-process cache; "
                     "--gateway workers run an LRU L1 over the shared L2 "
                     "(drop --eviction)")
+        if args.batch_size != _BATCH_SIZE_DEFAULT:
+            return ("--batch-size caps the in-process micro-batch; "
+                    "--gateway workers run their own service and never "
+                    "receive it (drop --batch-size)")
         if args.l2_max_bytes is not None:
             return ("--l2-max-bytes bounds the in-process tiered store; "
                     "the gateway's writer appends without an online "
@@ -628,8 +621,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     tier = f"tiered (L2: {args.l2_dir})" if args.l2_dir else "monolithic"
     if args.region_index:
         tier += f", indexed ({args.index_bits}-bit sign index)"
-    if args.backend != "numpy":
-        tier += f", {args.backend} backend requested"
     broker = None
     if args.broker:
         from repro.api import (
@@ -676,7 +667,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ttl_s=args.ttl_s,
         region_index=args.region_index,
         index_bits=args.index_bits,
-        backend=args.backend,
     )
     # The tiered store is closed (draining L1 to disk) however the run
     # ends, so regions solved before an error are not lost.
@@ -700,7 +690,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 max_batch_size=args.batch_size,
                 broker=broker,
                 seed=args.seed,
-                backend=args.backend,
             )
         except (ValidationError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -768,7 +757,6 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
             max_entries=args.max_entries,
             region_index=args.region_index,
             index_bits=args.index_bits if args.region_index else None,
-            backend=args.backend,
             supervise=not args.no_supervise,
             queue_capacity=args.queue_capacity,
             drain_deadline_s=args.drain_deadline_s,

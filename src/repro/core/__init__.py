@@ -9,17 +9,6 @@
 * result types shared by every interpretation method in the library.
 """
 
-from repro.core.backend import (
-    ArrayBackend,
-    CupyBackend,
-    NumpyBackend,
-    StubBackend,
-    TorchBackend,
-    as_float64,
-    available_backends,
-    backend_available,
-    resolve_backend,
-)
 from repro.core.types import Attribution, CoreParameterEstimate, Interpretation
 from repro.core.sampling import (
     sample_hypercube,
@@ -52,15 +41,6 @@ from repro.core.batch import BatchOpenAPIInterpreter, BatchResult
 from repro.core.verification import VerificationReport, verify_interpretation
 
 __all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "CupyBackend",
-    "TorchBackend",
-    "StubBackend",
-    "as_float64",
-    "available_backends",
-    "backend_available",
-    "resolve_backend",
     "SolveRound",
     "run_solve_round",
     "run_solve_rounds_batched",

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.transport import QueryClient
-from repro.core.backend import resolve_backend
 from repro.core.equations import DEFAULT_PROB_FLOOR
 from repro.core.rounds import (
     build_interpretation,
@@ -193,8 +192,6 @@ class BatchOpenAPIInterpreter:
             )
         self._seed = seed
         self._sampler = HypercubeSampler(seed, clip_box=clip_box)
-        # Resolved once here, not once per solve round.
-        self._backend = resolve_backend(None)
 
     # ------------------------------------------------------------------ #
     def interpret_batch(
@@ -389,7 +386,6 @@ class BatchOpenAPIInterpreter:
                     classes_stack[idx],
                     centers=x0s[idx],
                     rtol=self.rtol, atol=self.atol, floor=self.prob_floor,
-                    backend=self._backend,
                 )
                 for b, round_ in zip(solve, solve_rounds):
                     if round_.certified:

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backend import ArrayBackend, as_float64, resolve_backend
 from repro.core.equations import (
     DEFAULT_PROB_FLOOR,
     PairSystemSolution,
@@ -225,7 +224,6 @@ def certificate_verdicts(
     """
     # The mean and norm reduce over the innermost contiguous axis: the
     # per-column reference's summation order (see solve_stack).
-    # repro-lint: disable=backend-seam host-side certificate norms in reference order
     denoms = np.linalg.norm(
         targets_t - targets_t.mean(axis=2, keepdims=True), axis=2
     )
@@ -245,7 +243,6 @@ def solve_pair_systems_stacked(
     atol: float = DEFAULT_CERTIFICATE_ATOL,
     floor: float = DEFAULT_PROB_FLOOR,
     check_certificate: bool = True,
-    backend: str | ArrayBackend | None = None,
 ) -> list[dict[tuple[int, int], PairSystemSolution]]:
     """Solve every class pair of every stacked instance in one fused pass.
 
@@ -260,7 +257,6 @@ def solve_pair_systems_stacked(
     stack = solve_stack(
         points, probs, target_classes, centers=centers, rtol=rtol,
         atol=atol, floor=floor, check_certificate=check_certificate,
-        backend=backend,
     )
     return [stack.solutions(b) for b in range(len(stack))]
 
@@ -275,7 +271,6 @@ def solve_stack(
     atol: float = DEFAULT_CERTIFICATE_ATOL,
     floor: float = DEFAULT_PROB_FLOOR,
     check_certificate: bool = True,
-    backend: str | ArrayBackend | None = None,
 ) -> StackedSolve:
     """Solve and certify every class pair of every stacked instance.
 
@@ -297,17 +292,6 @@ def solve_stack(
     check_certificate:
         When false every solution reports ``certified=False`` (the naive
         determined-system path).
-    backend:
-        The :class:`~repro.core.backend.ArrayBackend` (or its name) that
-        runs the batched device section — the Gram/RHS matmuls, the
-        ``eigvalsh`` conditioning screen, the batched ``solve`` and the
-        per-block ``lstsq`` fallback.  ``None`` resolves the process
-        default (:func:`~repro.core.backend.resolve_backend`, which reads
-        the environment and takes a lock — the interpreters resolve once
-        at construction and pass the instance).  Design construction,
-        residual norms and certificate verdicts always run host-side in
-        numpy, so verdicts are decided by one code path for every
-        backend.
 
     Returns
     -------
@@ -332,9 +316,8 @@ def solve_stack(
     Degenerate blocks add one per-block SVD ``lstsq``
     (:math:`O(n (d+1)^2)` each).
     """
-    be = resolve_backend(backend)
-    points = as_float64(points)
-    probs = as_float64(probs)
+    points = np.asarray(points, dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
     target_classes = np.asarray(target_classes, dtype=np.intp)
     if points.ndim != 3:
         raise ValidationError(f"points must be 3-D (k, n, d), got shape {points.shape}")
@@ -358,7 +341,7 @@ def solve_stack(
     if centers is None:
         centers_arr = points.mean(axis=1)
     else:
-        centers_arr = as_float64(centers)
+        centers_arr = np.asarray(centers, dtype=np.float64)
         if centers_arr.shape != (k, d):
             raise ValidationError(
                 f"centers must have shape ({k}, {d}), got {centers_arr.shape}"
@@ -378,17 +361,13 @@ def solve_stack(
     scale[(scale == 0.0) | ~np.isfinite(scale)] = 1.0
     np.divide(offsets, scale[:, None, None], out=offsets)
 
-    # Device section: the contiguous stacks cross the backend seam once;
-    # the conditioning screen and routing masks stay host-side.
-    design_dev = be.asarray(design)
-    targets_dev = be.asarray(targets)
-    design_t = be.bT(design_dev)
-    gram = be.matmul(design_t, design_dev)      # (k, d+1, d+1)
-    rhs = be.matmul(design_t, targets_dev)      # (k, d+1, C-1)
+    design_t = np.swapaxes(design, -1, -2)
+    gram = np.matmul(design_t, design)      # (k, d+1, d+1)
+    rhs = np.matmul(design_t, targets)      # (k, d+1, C-1)
 
     # Conditioning screen: Gram eigenvalues are the squared design
     # singular values, one batched sweep for the whole stack.
-    eigs = be.to_host(be.eigvalsh(gram))
+    eigs = np.linalg.eigvalsh(gram)
     fast = eigs[:, 0] > (GRAM_CONDITION_RTOL**2) * eigs[:, -1]
 
     # Per degenerate block: the lstsq rank and singular values.
@@ -396,24 +375,22 @@ def solve_stack(
     degenerate = [] if fast.all() else np.flatnonzero(~fast).tolist()
     if not degenerate:
         try:
-            betas = be.to_host(be.solve(gram, rhs))
-        except be.linalg_error:  # pragma: no cover — screened above
+            betas = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:  # pragma: no cover — screened above
             degenerate = list(range(k))
     if degenerate:
         betas = np.empty((k, d + 1, C - 1))
         if len(degenerate) < k:
             idx = np.flatnonzero(fast)
-            betas[fast] = be.to_host(
-                be.solve(be.take(gram, idx), be.take(rhs, idx))
-            )
+            betas[fast] = np.linalg.solve(gram[idx], rhs[idx])
     for b in degenerate:
         # Degenerate block: the SVD path reproduces the pre-engine
         # reference exactly, rank and singular values included.
-        beta_b, rank_b, sv_b = be.lstsq(design_dev[b], targets_dev[b])
-        betas[b] = be.to_host(beta_b)
-        lstsq[b] = (rank_b, sv_b)
+        betas[b], _, rank_b, sv_b = np.linalg.lstsq(
+            design[b], targets[b], rcond=None
+        )
+        lstsq[b] = (int(rank_b), np.asarray(sv_b, dtype=np.float64))
 
-    # repro-lint: disable=backend-seam host-side residual path; must reduce in the reference summation order bitwise (see below)
     residuals = design @ betas - targets
     # Norms and means reduce over the *innermost contiguous* axis of the
     # transposed copies so the pairwise summation order matches the
@@ -421,12 +398,12 @@ def solve_stack(
     # can yield denom 0.0 on one path and ~1e-31 on the other, flipping
     # the zero-denominator branch of certificate_verdicts.
     residuals_t = np.ascontiguousarray(residuals.transpose(0, 2, 1))
-    res_norms = np.linalg.norm(residuals_t, axis=2)  # (k, C-1)  repro-lint: disable=backend-seam host-side certificate norms in reference order
+    res_norms = np.linalg.norm(residuals_t, axis=2)  # (k, C-1)
     relatives, certified_grid = certificate_verdicts(
         res_norms, targets_t, rtol=rtol, atol=atol
     )
     weights = betas[:, 1:, :] / scale[:, None, None]                # (k, d, C-1)
-    # repro-lint: disable=backend-seam host-side intercept recentering; must match the reference dot order bitwise
+    # The intercept recentering must match the reference dot order bitwise.
     intercepts = betas[:, 0, :] - np.einsum(
         "kd,kdp->kp", centers_arr, weights
     )
@@ -495,8 +472,8 @@ def reference_solve_all_pairs(
     ``lstsq`` — the same arithmetic as one engine block, but dispatched
     per instance from Python (the overhead the engine amortizes away).
     """
-    points = as_float64(points)
-    probs = as_float64(probs)
+    points = np.asarray(points, dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
     if points.ndim != 2:
         raise ValidationError(f"points must be 2-D, got shape {points.shape}")
     n, d = points.shape
@@ -510,7 +487,7 @@ def reference_solve_all_pairs(
     if center is None:
         center_vec = points.mean(axis=0)
     else:
-        center_vec = as_float64(center)
+        center_vec = np.asarray(center, dtype=np.float64)
         if center_vec.shape != (d,):
             raise ValidationError(
                 f"center must have shape ({d},), got {center_vec.shape}"

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.transport import QueryClient
-from repro.core.backend import resolve_backend
 from repro.core.equations import DEFAULT_PROB_FLOOR
 from repro.core.rounds import (
     SolveRound,
@@ -137,8 +136,6 @@ class OpenAPIInterpreter:
         self.atol = check_positive(atol, name="atol")
         self.prob_floor = check_positive(prob_floor, name="prob_floor")
         self._sampler = HypercubeSampler(seed, clip_box=clip_box)
-        # Resolved once here, not once per solve round.
-        self._backend = resolve_backend(None)
         #: Diagnostics of the most recent interpret() call.
         self.last_run_history_: list[IterationRecord] = []
         # Certified round of the most recent interpret() call; retained so
@@ -245,7 +242,6 @@ class OpenAPIInterpreter:
                 rtol=self.rtol,
                 atol=self.atol,
                 floor=self.prob_floor,
-                backend=self._backend,
             )
             state.history.append(
                 IterationRecord(
@@ -316,7 +312,6 @@ class OpenAPIInterpreter:
                 rtol=self.rtol,
                 atol=self.atol,
                 floor=self.prob_floor,
-                backend=self._backend,
             )
             if round_c.certified:
                 interpretations.append(

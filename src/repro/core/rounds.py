@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import ArrayBackend
 from repro.core.engine import (
     StackedSolve,
     certificate_verdicts,
@@ -190,7 +189,6 @@ def run_solve_round(
     rtol: float = DEFAULT_CERTIFICATE_RTOL,
     atol: float = DEFAULT_CERTIFICATE_ATOL,
     floor: float = DEFAULT_PROB_FLOOR,
-    backend: ArrayBackend | None = None,
 ) -> SolveRound:
     """Solve and certify all pairs of ``target_class`` over one sample set.
 
@@ -207,7 +205,7 @@ def run_solve_round(
     )
     stack = solve_stack(
         points_s, probs_s, classes, centers=centers,
-        rtol=rtol, atol=atol, floor=floor, backend=backend,
+        rtol=rtol, atol=atol, floor=floor,
     )
     return SolveRound._of_block(stack, 0, points, probs, samples)
 
@@ -222,7 +220,6 @@ def run_solve_rounds_batched(
     rtol: float = DEFAULT_CERTIFICATE_RTOL,
     atol: float = DEFAULT_CERTIFICATE_ATOL,
     floor: float = DEFAULT_PROB_FLOOR,
-    backend: ArrayBackend | None = None,
 ) -> list[SolveRound]:
     """Solve and certify a whole stack of instances in one engine pass.
 
@@ -239,9 +236,6 @@ def run_solve_rounds_batched(
         ``(k,)`` base class per instance.
     centers:
         ``(k, d)`` centering points (normally the interpreted instances).
-    backend:
-        The engine's array backend, as :func:`~repro.core.engine.solve_stack`
-        (the interpreters pass the one they resolved at construction).
 
     Returns
     -------
@@ -257,7 +251,6 @@ def run_solve_rounds_batched(
         rtol=rtol,
         atol=atol,
         floor=floor,
-        backend=backend,
     )
     return [
         SolveRound._of_block(stack, i, points[i], probs[i], samples[i])

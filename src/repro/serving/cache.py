@@ -56,7 +56,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.backend import ArrayBackend, as_float64, resolve_backend
 from repro.core.equations import DEFAULT_PROB_FLOOR, log_odds
 from repro.core.types import CoreParameterEstimate, Interpretation
 from repro.exceptions import ValidationError
@@ -168,36 +167,27 @@ class _PackedGroup:
     ``index`` optionally carries the group's
     :class:`~repro.serving.index.RegionSignIndex`, kept in lock-step
     with membership so the indexed scan path never sees a stale
-    shortlist.  ``backend`` is the
-    :class:`~repro.core.backend.ArrayBackend` running the claim matmuls;
-    the device copies of the stacks are cached and invalidated on every
-    mutation (identity views under numpy).
+    shortlist.
     """
 
-    __slots__ = (
-        "pairs", "cs", "cps", "keys", "index", "backend",
-        "_w", "_b", "_x0", "_dev", "_pos",
-    )
+    __slots__ = ("pairs", "cs", "cps", "keys", "index", "_w", "_b", "_x0", "_pos")
 
     def __init__(
         self,
         pairs: tuple[tuple[int, int], ...],
         d: int,
         index: RegionSignIndex | None = None,
-        backend: str | ArrayBackend | None = None,
     ):
         self.pairs = pairs
         self.cs = np.asarray([c for c, _ in pairs], dtype=np.intp)
         self.cps = np.asarray([cp for _, cp in pairs], dtype=np.intp)
         self.keys: list = []
         self.index = index
-        self.backend = resolve_backend(backend)
         P = len(pairs)
         cap = _INITIAL_ROWS
         self._w = np.empty((cap, P, d))
         self._b = np.empty((cap, P))
         self._x0 = np.empty((cap, d))
-        self._dev: tuple | None = None
         self._pos: dict | None = {}
 
     def __len__(self) -> int:
@@ -230,7 +220,6 @@ class _PackedGroup:
         self.keys.append(key)
         if self._pos is not None:
             self._pos[key] = row
-        self._dev = None
         if self.index is not None:
             self.index.add(key, x0)
 
@@ -242,7 +231,6 @@ class _PackedGroup:
             buf[i:m - 1] = buf[i + 1:m]
         del self.keys[i]
         self._pos = None
-        self._dev = None
         if self.index is not None:
             self.index.discard(key)
 
@@ -255,7 +243,6 @@ class _PackedGroup:
         self.keys = list(keys)
         self._w, self._b, self._x0 = W, b, X0
         self._pos = None
-        self._dev = None
         if self.index is not None:
             self.index.add_batch(self.keys, X0)
 
@@ -278,20 +265,37 @@ class _PackedGroup:
         rows = np.fromiter((pos[k] for k in keys), dtype=np.intp, count=len(keys))
         return self._w[rows], self._b[rows], self._x0[rows]
 
-    def device_stacked(self) -> tuple:
-        """Device copies of :meth:`stacked`, cached until the next
-        mutation (identity views under the numpy backend)."""
-        if self._dev is None:
-            be = self.backend
-            W, b, X0 = self.stacked()
-            self._dev = (be.asarray(W), be.asarray(b), be.asarray(X0))
-        return self._dev
-
     def claims_at(self, x0: np.ndarray) -> np.ndarray:
         """Every member's per-pair affine claim at ``x0`` — one matmul."""
-        be = self.backend
-        W, b, _ = self.device_stacked()
-        return be.to_host(be.affine_claims(W, b, be.asarray(x0)))
+        W, b, _ = self.stacked()
+        return affine_claims(W, b, x0)
+
+
+def affine_claims(W: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Every member's per-pair affine claim at ``x0`` — one matmul.
+
+    ``W`` is ``(m, P, d)``, ``b`` is ``(m, P)``, ``x0`` is ``(d,)``;
+    returns the ``(m, P)`` claims.
+    """
+    m, P, d = W.shape
+    return np.matmul(W.reshape(m * P, d), x0).reshape(m, P) + b
+
+
+def membership_scan(
+    W: np.ndarray, b: np.ndarray, X0: np.ndarray, x0: np.ndarray,
+    actual: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact membership kernel shared by both serving tiers.
+
+    Stacks ``W (m, P, d)``, ``b (m, P)``, anchors ``X0 (m, d)``, query
+    ``x0 (d,)`` and the probe's actual log-odds ``actual (P,)``.
+    Returns ``(errors (m,), dists (m,))``: the max absolute per-pair
+    claim error and the squared anchor distance per candidate.  The
+    pass/argmin decision stays with the caller.
+    """
+    errors = abs(affine_claims(W, b, x0) - actual).max(axis=1)
+    dists = ((X0 - x0) ** 2).sum(axis=1)
+    return errors, dists
 
 
 #: Rows a new group's buffers hold before their first doubling.
@@ -454,12 +458,6 @@ class RegionCache:
         Entry lifetime in seconds for the ``"ttl"`` policy, measured from
         the entry's last touch (insert or serve).  Required iff
         ``eviction="ttl"``.
-    backend:
-        The :class:`~repro.core.backend.ArrayBackend` (or its name)
-        running the packed claim matmuls, distance scans and sign-index
-        projections; ``None`` resolves the process default (numpy unless
-        ``REPRO_BACKEND`` says otherwise).  The pass/argmin decisions,
-        eviction bookkeeping and entry payloads stay host-side.
     clock:
         Monotonic time source for TTL bookkeeping (injectable for
         deterministic tests); defaults to :func:`time.monotonic`.
@@ -515,7 +513,6 @@ class RegionCache:
         region_index: bool = False,
         index_bits: int = DEFAULT_INDEX_BITS,
         index_shortlist: int = DEFAULT_INDEX_SHORTLIST,
-        backend: str | ArrayBackend | None = None,
     ):
         if max_entries < 1:
             raise ValidationError(f"max_entries must be >= 1, got {max_entries}")
@@ -549,7 +546,6 @@ class RegionCache:
         self.region_index = bool(region_index)
         self.index_bits = check_index_bits(index_bits)
         self.index_shortlist = int(index_shortlist)
-        self.backend = resolve_backend(backend)
         self._clock = clock if clock is not None else time.monotonic
         self.on_evict = on_evict
         self._entries: OrderedDict[int, RegionCacheEntry] = OrderedDict()
@@ -617,8 +613,8 @@ class RegionCache:
             On shape/dimensionality mismatches (see
             :func:`check_lookup_shapes`).
         """
-        x0 = as_float64(x0)
-        y0 = as_float64(y0)
+        x0 = np.asarray(x0, dtype=np.float64)
+        y0 = np.asarray(y0, dtype=np.float64)
         self._check_lookup_shapes(x0, y0)
         self._purge_expired()
         scored = self._scan(x0, y0, target_class)
@@ -675,15 +671,10 @@ class RegionCache:
         passing region into a false miss (and a full re-solve) with zero
         compute saved.
         """
-        be = self.backend
-        x0_dev = be.asarray(x0)
         errors_parts, dists_parts, keys = [], [], []
         for group in groups:
             actual = log_y[group.cs] - log_y[group.cps]      # (P,)
-            W, b, X0 = group.device_stacked()
-            errors, dists = be.membership_scan(
-                W, b, X0, x0_dev, be.asarray(actual)
-            )
+            errors, dists = membership_scan(*group.stacked(), x0, actual)
             errors_parts.append(errors)
             dists_parts.append(dists)
             keys.extend(group.keys)
@@ -710,18 +701,14 @@ class RegionCache:
         cap = self.index_shortlist
         if self.max_candidates is not None:
             cap = min(cap, self.max_candidates)
-        be = self.backend
-        x0_dev = be.asarray(x0)
         best: tuple[float, int] | None = None  # (dist, key)
         for group in groups:
             shortlist = group.index.shortlist(x0, cap)
             if not shortlist:
                 continue
-            W, b, X0 = group.gathered(shortlist)
             actual = log_y[group.cs] - log_y[group.cps]
-            errors, dists = be.membership_scan(
-                be.asarray(W), be.asarray(b), be.asarray(X0), x0_dev,
-                be.asarray(actual),
+            errors, dists = membership_scan(
+                *group.gathered(shortlist), x0, actual
             )
             passing = np.nonzero(errors <= self.tol)[0]
             if passing.size:
@@ -780,7 +767,6 @@ class RegionCache:
         if group is not None and len(group):
             new_claims = np.asarray(
                 [
-                    # repro-lint: disable=backend-seam tiny per-pair host dot on one candidate; never a hot-path scan
                     interpretation.pair_estimates[p].weights @ x0
                     + interpretation.pair_estimates[p].intercept
                     for p in pairs
@@ -810,7 +796,6 @@ class RegionCache:
                 pairs,
                 x0.shape[0],
                 index=self._new_index(x0),
-                backend=self.backend,
             )
             self._groups[group_key] = group
         group.add(entry)
@@ -829,9 +814,7 @@ class RegionCache:
         """A fresh per-group sign index (``None`` with the index off)."""
         if not self.region_index:
             return None
-        return RegionSignIndex(
-            x0.shape[0], bits=self.index_bits, backend=self.backend
-        )
+        return RegionSignIndex(x0.shape[0], bits=self.index_bits)
 
     def _touch(self, entry: RegionCacheEntry) -> None:
         """Refresh recency (LRU position) and the TTL lease of an entry."""

@@ -440,7 +440,7 @@ class Gateway:
     host, port:
         HTTP bind address (port 0 = ephemeral; read ``self.port`` after
         :meth:`start`).
-    max_entries, region_index, index_bits, backend:
+    max_entries, region_index, index_bits:
         Worker-side tier knobs, forwarded to each worker's
         :class:`~repro.serving.store.L2ReaderCache` (``region_index``
         and ``index_bits`` also configure the writer store so its
@@ -504,7 +504,6 @@ class Gateway:
         max_entries: int = 512,
         region_index: bool = False,
         index_bits: int | None = None,
-        backend: str | None = None,
         fsync: bool = True,
         request_timeout_s: float = 120.0,
         startup_timeout_s: float = 300.0,
@@ -547,7 +546,6 @@ class Gateway:
         self.max_entries = int(max_entries)
         self.region_index = bool(region_index)
         self.index_bits = index_bits
-        self.backend = backend
         self.fsync = bool(fsync)
         self.request_timeout_s = float(request_timeout_s)
         self.startup_timeout_s = float(startup_timeout_s)
@@ -647,8 +645,6 @@ class Gateway:
             argv.append("--region-index")
         if self.index_bits is not None:
             argv += ["--index-bits", str(self.index_bits)]
-        if self.backend is not None:
-            argv += ["--backend", str(self.backend)]
         return argv
 
     def _worker_env(self) -> dict:
@@ -669,12 +665,14 @@ class Gateway:
             if self._stopping:
                 raise RuntimeError("gateway is stopping")
         stderr_path = self.l2_dir / f"worker-{slot}.stderr"
-        proc = subprocess.Popen(
-            self._worker_argv(),
-            stdout=subprocess.PIPE,
-            stderr=open(stderr_path, "ab"),
-            env=self._worker_env(),
-        )
+        # The child holds its own dup of the descriptor; ours closes.
+        with open(stderr_path, "ab") as stderr:
+            proc = subprocess.Popen(
+                self._worker_argv(),
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                env=self._worker_env(),
+            )
         with self._admission_lock:
             self._procs.append(proc)
             stopping = self._stopping

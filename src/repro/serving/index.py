@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import ArrayBackend, resolve_backend
 from repro.exceptions import ValidationError
 
 __all__ = [
     "RegionSignIndex",
     "hyperplane_bank",
+    "pack_sign_bits",
     "INDEX_SEED",
     "DEFAULT_INDEX_BITS",
     "DEFAULT_INDEX_SHORTLIST",
@@ -107,6 +107,17 @@ def hyperplane_bank(d: int, bits: int) -> np.ndarray:
         bank.setflags(write=False)
         _BANKS[key] = bank
     return bank
+
+
+def pack_sign_bits(signs: np.ndarray) -> np.ndarray:
+    """Pack sign booleans along the last axis into ``uint64`` codes.
+
+    ``signs`` is ``(..., bits)`` boolean with ``bits <= 64``; bit ``i``
+    of the code is sign ``i``.
+    """
+    bits = signs.shape[-1]
+    weights = np.uint64(1) << np.arange(bits, dtype=np.uint64)
+    return signs.astype(np.uint64) @ weights
 
 
 class _Bucket:
@@ -173,12 +184,6 @@ class RegionSignIndex:
     bits:
         Number of sign hyperplanes (bucket-code bits), in
         ``[1, MAX_INDEX_BITS]``.
-    backend:
-        The :class:`~repro.core.backend.ArrayBackend` (or its name)
-        running the bank projections, code packing and shortlist
-        ranking; ``None`` resolves the process default.  The bank and
-        the bucket bookkeeping stay host-side — only projections cross
-        the seam.
 
     Raises
     ------
@@ -196,23 +201,14 @@ class RegionSignIndex:
     True
     """
 
-    __slots__ = (
-        "d", "bits", "_bank", "_bank_dev", "_backend", "_buckets", "_code_of",
-    )
+    __slots__ = ("d", "bits", "_bank", "_buckets", "_code_of")
 
-    def __init__(
-        self,
-        d: int,
-        bits: int = DEFAULT_INDEX_BITS,
-        backend: str | ArrayBackend | None = None,
-    ):
+    def __init__(self, d: int, bits: int = DEFAULT_INDEX_BITS):
         if d < 1:
             raise ValidationError(f"d must be >= 1, got {d}")
         self.d = int(d)
         self.bits = check_index_bits(bits)
-        self._backend = resolve_backend(backend)
         self._bank = hyperplane_bank(self.d, self.bits)
-        self._bank_dev = self._backend.asarray(self._bank)
         self._buckets: dict[int, _Bucket] = {}
         self._code_of: dict = {}
 
@@ -225,13 +221,11 @@ class RegionSignIndex:
 
     def code(self, x: np.ndarray) -> int:
         """The packed sign-bit bucket code of one instance."""
-        be = self._backend
-        return be.sign_code(self._bank_dev, be.asarray(x))
+        return int(pack_sign_bits(np.matmul(self._bank, x) >= 0.0))
 
     def codes(self, X: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`code` over ``(n, d)`` rows → ``(n,)`` uint64."""
-        be = self._backend
-        return be.sign_codes(be.asarray(X), self._bank_dev)
+        return pack_sign_bits(np.matmul(X, np.swapaxes(self._bank, 0, 1)) >= 0.0)
 
     def add(self, key, anchor: np.ndarray) -> None:
         """Index one entry (replacing any previous anchor for ``key``)."""
@@ -301,9 +295,8 @@ class RegionSignIndex:
         if len(keys) <= k:
             return keys
         anchors = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        be = self._backend
-        nearest = be.nearest_k(be.asarray(anchors), be.asarray(x), k)
-        return [keys[i] for i in nearest]
+        dists = ((anchors - x) ** 2).sum(axis=1)
+        return [keys[i] for i in np.argpartition(dists, k - 1)[:k]]
 
     def _probes(self, code: int):
         yield code

@@ -61,11 +61,6 @@ class ServiceStats:
         Request latency quantiles over a bounded recent window (NaN when
         no latencies were recorded; rendered as ``n/a`` in text and
         ``None`` in :meth:`as_dict` so serialized output stays JSON-safe).
-    backend:
-        *Effective* array-backend name serving the hot kernels (what
-        actually runs, not what was requested — a request for an
-        unavailable accelerator degrades to ``"numpy"`` and reports so
-        here; see :func:`repro.core.backend.resolve_backend`).
     """
 
     n_requests: int
@@ -80,7 +75,6 @@ class ServiceStats:
     round_trips_saved: int
     p50_latency_s: float
     p95_latency_s: float
-    backend: str
 
     def as_dict(self) -> dict[str, float | int | None]:
         """JSON-safe rendering: non-finite values become ``None``, never
@@ -103,7 +97,6 @@ class ServiceStats:
             "round_trips_saved": self.round_trips_saved,
             "p50_latency_s": _safe(self.p50_latency_s),
             "p95_latency_s": _safe(self.p95_latency_s),
-            "backend": self.backend,
         }
 
     def as_text(self) -> str:
@@ -122,7 +115,6 @@ class ServiceStats:
             ("round trips saved", f"{self.round_trips_saved}"),
             ("p50 latency", _fmt_latency(self.p50_latency_s)),
             ("p95 latency", _fmt_latency(self.p95_latency_s)),
-            ("backend", self.backend),
         ]
         width = max(len(label) for label, _ in rows)
         return "\n".join(f"{label:<{width}}  {value}" for label, value in rows)
@@ -145,12 +137,11 @@ class ServiceMetrics:
     service's flush lock, so no internal locking is needed.
     """
 
-    def __init__(self, *, latency_window: int = 4096, backend: str = "numpy"):
+    def __init__(self, *, latency_window: int = 4096):
         if latency_window < 1:
             raise ValidationError(
                 f"latency_window must be >= 1, got {latency_window}"
             )
-        self.backend = str(backend)
         self._latencies: deque[float] = deque(maxlen=latency_window)
         self.n_requests = 0
         self.n_ok = 0
@@ -220,5 +211,4 @@ class ServiceMetrics:
                            if has_lat else float("nan")),
             p95_latency_s=(float(np.percentile(latencies, 95))
                            if has_lat else float("nan")),
-            backend=self.backend,
         )

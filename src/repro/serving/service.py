@@ -50,7 +50,6 @@ from repro.api.service import (
     PredictionAPI,
 )
 from repro.api.transport import QueryBroker, QueryClient
-from repro.core.backend import resolve_backend
 from repro.core.batch import BatchOpenAPIInterpreter
 from repro.exceptions import (
     APIBudgetExceededError,
@@ -128,17 +127,6 @@ class InterpretationService:
         back as structured
         ``transport_failed`` envelopes.  Meter accounting keeps reading
         the underlying API, so the lifetime totals stay exact.
-    backend:
-        The :class:`~repro.core.backend.ArrayBackend` (or its name) for
-        the hot array kernels — it configures the default region cache
-        and is recorded as the service's *effective* backend
-        (``self.backend``; surfaces in
-        :meth:`~repro.serving.metrics.ServiceStats.as_dict` under
-        ``"backend"``).  When a pre-built ``cache`` is passed,
-        *its* backend is the effective one — the tier that runs the
-        kernels decides.  ``None`` resolves the process default;
-        requesting an unavailable accelerator warns once and serves
-        numpy.
 
     Raises
     ------
@@ -172,7 +160,6 @@ class InterpretationService:
         max_wait_s: float = 0.002,
         broker: QueryBroker | None = None,
         seed: SeedLike = None,
-        backend=None,
         **interpreter_kwargs,
     ):
         if max_batch_size < 1:
@@ -193,7 +180,6 @@ class InterpretationService:
             )
         self.api = api
         self.broker = broker
-        resolved_backend = resolve_backend(backend)
         self.interpreter = interpreter or BatchOpenAPIInterpreter(
             seed=seed, **interpreter_kwargs
         )
@@ -201,16 +187,11 @@ class InterpretationService:
         # freshly configured (empty) cache is falsy and would be silently
         # swapped for a default-configured one.
         if cache is None and enable_cache:
-            cache = RegionCache(backend=resolved_backend)
+            cache = RegionCache()
         self.cache: RegionCache | None = cache
-        # The effective backend is whatever the region tier actually runs
-        # its kernels on (a pre-built cache carries its own).
-        self.backend = (
-            getattr(self.cache, "backend", None) or resolved_backend
-        )
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_s)
-        self.metrics = ServiceMetrics(backend=self.backend.name)  # guarded-by: _metrics_lock
+        self.metrics = ServiceMetrics()  # guarded-by: _metrics_lock
 
         # The one query client every flush speaks through: the service's
         # broker handle when brokered, else the raw API.

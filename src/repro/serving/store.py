@@ -68,7 +68,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.backend import ArrayBackend, as_float64, resolve_backend
 from repro.core.equations import DEFAULT_PROB_FLOOR
 from repro.core.types import CoreParameterEstimate, Interpretation
 from repro.exceptions import ValidationError
@@ -78,6 +77,7 @@ from repro.serving.cache import (
     RegionCacheEntry,
     _PackedGroup,
     check_lookup_shapes,
+    membership_scan,
 )
 from repro.serving.index import (
     DEFAULT_INDEX_BITS,
@@ -338,12 +338,6 @@ class SegmentStore:
         deterministically, so crash safety is untouched.
     index_bits, index_shortlist:
         Sign-code width / shortlist size, as :class:`RegionSignIndex`.
-    backend:
-        The :class:`~repro.core.backend.ArrayBackend` (or its name)
-        running the packed-stack membership matmuls; ``None`` resolves
-        the process default.  The mmap'd segments, CRC framing, the
-        index JSON and compaction all stay host-side — only the packed
-        scan stacks cross the seam.
     read_only:
         Open a *reader* view onto a directory another process writes:
         the published segment list and tombstones are loaded and every
@@ -381,7 +375,6 @@ class SegmentStore:
         region_index: bool = False,
         index_bits: int = DEFAULT_INDEX_BITS,
         index_shortlist: int = DEFAULT_INDEX_SHORTLIST,
-        backend: str | ArrayBackend | None = None,
         read_only: bool = False,
         exclusive: bool = False,
     ):
@@ -414,7 +407,6 @@ class SegmentStore:
         self.region_index = bool(region_index)
         self.index_bits = check_index_bits(index_bits)
         self.index_shortlist = int(index_shortlist)
-        self.backend = resolve_backend(backend)
         self._segments: list[str] = []
         # Per segment: end of its adopted prefix (the byte offset the
         # next catch-up scan starts from; the published ``tails``).
@@ -621,7 +613,7 @@ class SegmentStore:
         key = (record.target_class, record.pairs)
         group = self._live_groups.get(key)
         if group is None:
-            group = _PackedGroup(record.pairs, record.d, backend=self.backend)
+            group = _PackedGroup(record.pairs, record.d)
             self._live_groups[key] = group
         P, d = len(record.pairs), record.d
         flat = np.frombuffer(
@@ -637,9 +629,7 @@ class SegmentStore:
         if self.region_index:
             index = self._group_indexes.get(key)
             if index is None:
-                index = RegionSignIndex(
-                    record.d, bits=self.index_bits, backend=self.backend
-                )
+                index = RegionSignIndex(record.d, bits=self.index_bits)
                 self._group_indexes[key] = index
             index.add(record.signature, record.anchor)
 
@@ -1047,8 +1037,6 @@ class SegmentStore:
         Returns the nearest passing ``(signature, squared distance)`` or
         ``None``.
         """
-        be = self.backend
-        x0_dev = be.asarray(x0)
         best: tuple[float, int] | None = None  # (dist, signature)
         for (tc, pairs), group in self._live_groups.items():
             if tc != target_class:
@@ -1060,14 +1048,12 @@ class SegmentStore:
                 sigs = index.shortlist(x0, self.index_shortlist)
                 if not sigs:
                     continue
-                W, B, X0 = (be.asarray(a) for a in group.gathered(sigs))
+                W, B, X0 = group.gathered(sigs)
             else:
                 sigs = group.keys
-                W, B, X0 = group.device_stacked()
+                W, B, X0 = group.stacked()
             actual = log_y[group.cs] - log_y[group.cps]
-            errors, dists = be.membership_scan(
-                W, B, X0, x0_dev, be.asarray(actual)
-            )
+            errors, dists = membership_scan(W, B, X0, x0, actual)
             passing = np.nonzero(errors <= tol)[0]
             if passing.size:
                 i = int(passing[np.argmin(dists[passing])])
@@ -1327,10 +1313,6 @@ class TieredRegionStore:
     index_bits, index_shortlist:
         Sign-code width / shortlist size, forwarded to both tiers (see
         :class:`~repro.serving.index.RegionSignIndex`).
-    backend:
-        The :class:`~repro.core.backend.ArrayBackend` (or its name) for
-        *both* tiers' membership kernels, resolved once and shared
-        (``None`` = process default); surfaces as ``self.backend``.
 
     Raises
     ------
@@ -1382,13 +1364,11 @@ class TieredRegionStore:
         region_index: bool = False,
         index_bits: int = DEFAULT_INDEX_BITS,
         index_shortlist: int = DEFAULT_INDEX_SHORTLIST,
-        backend: str | ArrayBackend | None = None,
     ):
         self.tol = check_positive(tol, name="tol")
         self.floor = check_positive(floor, name="floor")
         self.region_index = bool(region_index)
         self.index_bits = check_index_bits(index_bits)
-        self.backend = resolve_backend(backend)
         # SegmentStore itself is not thread-safe; every touch of the
         # L2 tier serializes on this (reentrant) lock.
         self._lock = threading.RLock()
@@ -1400,7 +1380,6 @@ class TieredRegionStore:
             region_index=region_index,
             index_bits=index_bits,
             index_shortlist=index_shortlist,
-            backend=self.backend,
         )
         self._l1 = RegionCache(
             max_entries=max_entries,
@@ -1414,7 +1393,6 @@ class TieredRegionStore:
             region_index=region_index,
             index_bits=index_bits,
             index_shortlist=index_shortlist,
-            backend=self.backend,
         )
         self._l2_hits = 0      # guarded-by: _lock
         self._l2_misses = 0    # guarded-by: _lock
@@ -1461,8 +1439,8 @@ class TieredRegionStore:
         hit = self._l1.lookup(x0, y0, target_class)
         if hit is not None:
             return hit
-        x0 = as_float64(x0)
-        y0 = as_float64(y0)
+        x0 = np.asarray(x0, dtype=np.float64)
+        y0 = np.asarray(y0, dtype=np.float64)
         with self._lock:
             scored = self._l2.scan(
                 x0, y0, target_class, tol=self.tol, floor=self.floor
@@ -1599,9 +1577,9 @@ def _interpretation_from_record(record: tuple, method: str) -> Interpretation:
         for i, pair in enumerate(pairs)
     }
     return Interpretation(
-        x0=as_float64(x0),
+        x0=np.asarray(x0, dtype=np.float64),
         target_class=target_class,
-        decision_features=as_float64(feats),
+        decision_features=np.asarray(feats, dtype=np.float64),
         pair_estimates=estimates,
         method=method,
         iterations=0,
@@ -1651,11 +1629,9 @@ class L2ReaderCache:
         region_index: bool = False,
         index_bits: int = DEFAULT_INDEX_BITS,
         index_shortlist: int = DEFAULT_INDEX_SHORTLIST,
-        backend: str | ArrayBackend | None = None,
     ):
         self.tol = check_positive(tol, name="tol")
         self.floor = check_positive(floor, name="floor")
-        self.backend = resolve_backend(backend)
         self._lock = threading.RLock()
         self._l1 = RegionCache(
             max_entries=max_entries,
@@ -1664,7 +1640,6 @@ class L2ReaderCache:
             region_index=region_index,
             index_bits=index_bits,
             index_shortlist=index_shortlist,
-            backend=self.backend,
         )
         self._l2 = SegmentStore(
             directory,
@@ -1672,7 +1647,6 @@ class L2ReaderCache:
             region_index=region_index,
             index_bits=index_bits,
             index_shortlist=index_shortlist,
-            backend=self.backend,
         )
         self._l1_hits = 0
         self._l2_hits = 0
@@ -1705,8 +1679,8 @@ class L2ReaderCache:
             with self._lock:
                 self._l1_hits += 1
             return hit
-        x0 = as_float64(x0)
-        y0 = as_float64(y0)
+        x0 = np.asarray(x0, dtype=np.float64)
+        y0 = np.asarray(y0, dtype=np.float64)
         with self._lock:
             if self._l2.maybe_refresh():
                 self._refreshes += 1

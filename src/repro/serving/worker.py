@@ -50,7 +50,6 @@ import sys
 import numpy as np
 
 from repro.api import PredictionAPI
-from repro.core.backend import as_float64
 from repro.exceptions import ValidationError
 from repro.serving.service import InterpretationService
 from repro.serving.store import L2ReaderCache, _pack_payload, region_signature
@@ -192,8 +191,8 @@ def region_record(interpretation) -> tuple[int, bytes]:
         pairs,
         W,
         b,
-        as_float64(interpretation.x0),
-        as_float64(interpretation.decision_features),
+        np.asarray(interpretation.x0, dtype=np.float64),
+        np.asarray(interpretation.decision_features, dtype=np.float64),
         float(interpretation.final_edge),
     )
     return signature, payload
@@ -335,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-entries", type=int, default=512)
     parser.add_argument("--region-index", action="store_true")
     parser.add_argument("--index-bits", type=int, default=None)
-    parser.add_argument("--backend", default=None)
     return parser
 
 
@@ -355,7 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     tier_kwargs: dict = {
         "max_entries": args.max_entries,
         "region_index": args.region_index,
-        "backend": args.backend,
     }
     if args.index_bits is not None:
         tier_kwargs["index_bits"] = args.index_bits
@@ -368,8 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     # predict_proba rounds by row count, so its answer may differ in
     # the last bits.
     service = InterpretationService(
-        api, cache=tier, seed=args.seed, backend=args.backend,
-        per_instance_seed=True,
+        api, cache=tier, seed=args.seed, per_instance_seed=True,
     )
     server = socket.create_server((args.host, args.port))
     print(
@@ -377,7 +373,6 @@ def main(argv: list[str] | None = None) -> int:
             "ready": True,
             "port": server.getsockname()[1],
             "pid": os.getpid(),
-            "backend": service.backend.name,
         }),
         flush=True,
     )

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BatchOpenAPIInterpreter,
@@ -25,7 +27,9 @@ from repro.core import (
     solve_all_pairs,
     solve_pair_systems_stacked,
 )
+from repro.core.engine import _bench_problem
 from repro.exceptions import ValidationError
+from repro.serving import RegionCache, TieredRegionStore
 
 SWEEP_SEEDS = (0, 1, 2)
 #: (n_points, d, C) — overdetermined (n = d + 2) and taller systems,
@@ -370,3 +374,64 @@ class TestBatchInvariance:
             assert lazy.certified == eager.certified
             _assert_bitwise(lazy.solutions, eager.solutions)
             assert lazy.solutions is lazy.solutions  # built once
+
+
+class TestFloat32UpcastEquivalence:
+    """Entering any hot layer with float32 gives the float64 answer."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_engine_entry(self, seed):
+        points, probs, classes, centers = _bench_problem(3, 6, 4, 3, seed)
+        p32 = points.astype(np.float32)
+        q32 = probs.astype(np.float32)
+        c32 = centers.astype(np.float32)
+        # float32 inputs are not the same real numbers as the float64
+        # originals, so the oracle is the caller upcasting beforehand:
+        # the engine's coercion must be equivalent to that, bitwise.
+        out32 = solve_pair_systems_stacked(p32, q32, classes, centers=c32)
+        ref = solve_pair_systems_stacked(
+            p32.astype(np.float64),
+            q32.astype(np.float64),
+            classes,
+            centers=c32.astype(np.float64),
+        )
+        for eng, exp in zip(out32, ref):
+            assert eng.keys() == exp.keys()
+            for pair in exp:
+                assert np.array_equal(
+                    eng[pair].result.weights, exp[pair].result.weights
+                )
+                assert eng[pair].certified == exp[pair].certified
+
+    def test_cache_entry(self, relu_api, blobs3):
+        x0 = blobs3.X[0]
+        interp = OpenAPIInterpreter(seed=0).interpret(relu_api, x0)
+        cache = RegionCache()
+        assert cache.insert(interp)
+        y0 = relu_api.predict_proba(x0)
+        x32 = x0.astype(np.float32)
+        y32 = y0.astype(np.float32)
+        hit32 = cache.lookup(x32, y32, interp.target_class)
+        ref = cache.lookup(
+            x32.astype(np.float64), y32.astype(np.float64),
+            interp.target_class,
+        )
+        assert hit32 is not None and ref is not None
+        assert np.array_equal(hit32.decision_features, ref.decision_features)
+
+    def test_store_entry(self, relu_api, blobs3, tmp_path):
+        x0 = blobs3.X[0]
+        interp = OpenAPIInterpreter(seed=0).interpret(relu_api, x0)
+        store = TieredRegionStore(directory=tmp_path / "l2", fsync=False)
+        assert store.insert(interp)
+        y0 = relu_api.predict_proba(x0)
+        x32 = x0.astype(np.float32)
+        y32 = y0.astype(np.float32)
+        hit32 = store.lookup(x32, y32, interp.target_class)
+        ref = store.lookup(
+            x32.astype(np.float64), y32.astype(np.float64),
+            interp.target_class,
+        )
+        assert hit32 is not None and ref is not None
+        assert np.array_equal(hit32.decision_features, ref.decision_features)

@@ -219,6 +219,29 @@ class TestFleetResilience:
         assert health_status == 503 and health["workers_alive"] == 0
 
 
+class TestWorkerSpawn:
+    def test_stderr_log_closed_after_spawn(self, tmp_path, monkeypatch):
+        """The gateway's handle on a worker's stderr log is closed once
+        the child is spawned (the child keeps its own descriptor)."""
+        from repro.serving import gateway as gateway_module
+
+        recorded = []
+
+        class _RecordingPopen:
+            def __init__(self, argv, **kwargs):
+                recorded.append(kwargs)
+
+        monkeypatch.setattr(
+            gateway_module.subprocess, "Popen", _RecordingPopen
+        )
+        l2_dir = tmp_path / "l2"
+        l2_dir.mkdir()
+        gateway = Gateway(n_workers=1, l2_dir=l2_dir, **TINY_GATEWAY_KWARGS)
+        gateway._popen_worker(0)
+        assert len(recorded) == 1
+        assert recorded[0]["stderr"].closed
+
+
 class TestHttpFrontend:
     @pytest.fixture(scope="class")
     def running_gateway(self, tmp_path_factory):

@@ -26,8 +26,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CoreParameterEstimate, Interpretation
-from repro.core.backend import resolve_backend
 from repro.serving import RegionCache, SegmentStore
+from repro.serving.cache import membership_scan
 
 D = 4
 PAIRS = ((0, 1), (0, 2))
@@ -99,12 +99,11 @@ def _gather_scan(groups, x, y):
     """The reference scan: per-record rows, stacked in member order, one
     membership kernel per group, the first nearest passing row wins.
     ``groups`` is a list of ``(keys, W, b, X0)``."""
-    be = resolve_backend("numpy")
     log_y = np.log(np.clip(y, FLOOR, None))
     actual = np.array([log_y[c] - log_y[cp] for c, cp in PAIRS])
     best = None  # (dist, key)
     for keys, W, b, X0 in groups:
-        errors, dists = be.membership_scan(W, b, X0, x, actual)
+        errors, dists = membership_scan(W, b, X0, x, actual)
         passing = np.nonzero(errors <= TOL)[0]
         if passing.size:
             i = int(passing[np.argmin(dists[passing])])

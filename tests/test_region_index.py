@@ -27,6 +27,7 @@ from repro.serving.index import (
     MAX_INDEX_BITS,
     RegionSignIndex,
     hyperplane_bank,
+    pack_sign_bits,
 )
 from repro.serving.store import (
     SegmentStore,
@@ -139,6 +140,19 @@ class TestRegionSignIndex:
         assert len(keys) == 4 and 11 in keys
         dists = ((anchors - x) ** 2).sum(axis=1)
         assert set(keys) == set(np.argsort(dists)[:4])
+
+
+class TestPackSignBits:
+    def test_known_codes(self):
+        signs = np.array([[True, False, True], [False, False, False]])
+        codes = pack_sign_bits(signs)
+        assert codes.dtype == np.uint64
+        assert codes.tolist() == [0b101, 0]
+
+    def test_bit_64_boundary(self):
+        signs = np.zeros(64, dtype=bool)
+        signs[63] = True
+        assert int(pack_sign_bits(signs)) == 1 << 63
 
 
 class TestL1Equivalence:

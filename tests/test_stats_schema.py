@@ -207,29 +207,6 @@ def sample_transport_report():
     return cls(**kwargs)
 
 
-def sample_backend_report():
-    """The bench_backend report, loaded from the benchmark script (it
-    is not an installed module)."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_backend", REPO / "benchmarks" / "bench_backend.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    # Register before exec: dataclasses.fields resolves the class's
-    # string annotations through sys.modules[cls.__module__].
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    row = module.BackendBenchRow(
-        requested="numpy", effective="numpy", n_instances=4, d=4, C=3,
-        engine_solves_per_s=100.0, scan_candidates_per_s=1e6,
-        engine_speedup_vs_numpy=1.0, scan_speedup_vs_numpy=1.0,
-        max_weight_diff=1e-12, certificates_identical=True,
-    )
-    return module.BackendBenchReport(
-        rows=(row,), backends_available=("numpy", "stub"),
-        gates_passed=True,
-    )
-
-
 class TestAsDictMatchesFields:
     def test_cache_stats(self):
         payload = sample_cache_stats().as_dict()
@@ -328,10 +305,7 @@ class TestJsonSafety:
         )
         payload = stats.snapshot().as_dict()
         for value in payload.values():
-            assert value is None or isinstance(value, (int, float, str))
-        # The backend field is the one legitimate string (an np.str_
-        # would also break strict JSON consumers).
-        assert type(payload["backend"]) is str
+            assert value is None or type(value) in (int, float)
 
 
 class TestDocsGlossary:
@@ -413,12 +387,11 @@ class TestBenchmarkCatalogSchemas:
             ("BENCH_transport.json", sample_transport_report),
             ("BENCH_solve_engine.json", sample_engine_report),
             ("BENCH_region_index.json", sample_region_index_report),
-            ("BENCH_backend.json", sample_backend_report),
             ("BENCH_gateway.json", sample_gateway_report),
         ],
         ids=[
             "serving", "tiered-store", "transport", "engine",
-            "region-index", "backend", "gateway",
+            "region-index", "gateway",
         ],
     )
     def test_artifact_keys_catalogued(

@@ -425,6 +425,20 @@ class TestGatewayFlagValidation:
             assert code == 2, flags
             assert named in err, (flags, err)
 
+    def test_gateway_rejects_batch_size(self):
+        """Gateway workers build their service with its own batch cap;
+        a non-default ``--batch-size`` would never reach them."""
+        from repro.cli import _validate_serve_flags
+
+        parser = build_parser()
+        args = parser.parse_args(
+            ["serve", "--gateway", "--l2-dir", "l2", "--batch-size", "4"]
+        )
+        error = _validate_serve_flags(args)
+        assert error is not None and "drop --batch-size" in error
+        args = parser.parse_args(["serve", "--l2-dir", "l2", "--batch-size", "4"])
+        assert _validate_serve_flags(args) is None
+
     def test_coherent_gateway_flags_pass_validation(self):
         from repro.cli import _validate_serve_flags
 

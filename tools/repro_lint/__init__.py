@@ -1,13 +1,11 @@
 """repro-lint: AST-based invariant checker for this repository.
 
-Five project-specific rules, stdlib-``ast`` only (no third-party deps),
+Four project-specific rules, stdlib-``ast`` only (no third-party deps),
 wired into CI so discipline violations fail review instead of
 production:
 
 * ``lock-discipline`` — ``# guarded-by:``-annotated state accessed
   outside its ``with <lock>:`` block (the PR 4 meter race, statically);
-* ``backend-seam`` — raw numpy math inside the PR 7 seam-covered
-  modules;
 * ``determinism`` — unseeded/global RNGs anywhere, wall-clock values
   feeding seeds or solve/wire paths (PR 8's byte-identity);
 * ``durability`` — ``os.replace`` publishes without a dominating

@@ -1,4 +1,4 @@
-"""The five checkers, keyed by rule name.
+"""The four checkers, keyed by rule name.
 
 Each checker is a function ``(SourceFile, config) -> list[Finding]``;
 the engine runs the ones whose rule is enabled.  A checker may also emit
@@ -8,11 +8,10 @@ without a lock name, timing-ok/boundary without a real justification).
 
 from __future__ import annotations
 
-from . import boundaries, determinism, durability, locks, seam
+from . import boundaries, determinism, durability, locks
 
 CHECKERS = {
     locks.RULE: locks.check,
-    seam.RULE: seam.check,
     determinism.RULE: determinism.check,
     durability.RULE: durability.check,
     boundaries.RULE: boundaries.check,

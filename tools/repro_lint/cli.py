@@ -34,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.repro_lint",
         description=(
             "AST-based invariant checker for this repository: lock "
-            "discipline, backend-seam discipline, determinism, "
-            "durability, exception boundaries."
+            "discipline, determinism, durability, exception "
+            "boundaries."
         ),
     )
     parser.add_argument(

@@ -1,9 +1,8 @@
 """Project-specific scoping for the checkers.
 
 The checkers are generic AST passes; everything repo-specific — which
-modules sit behind the backend seam, which functions are deliberate
-host-side helpers, which modules own durable store paths — lives here
-as data.  Module keys are posix path *suffixes* matched against the
+modules must not read the wall clock, which modules own durable store
+paths and which of their functions may write — lives here as data.  Module keys are posix path *suffixes* matched against the
 linted file's path, so the config works for absolute paths, relative
 paths, and test fixtures alike.
 
@@ -16,37 +15,6 @@ from __future__ import annotations
 
 
 DEFAULT_CONFIG: dict = {
-    # ------------------------------------------------------------- #
-    # backend-seam: modules whose hot-path array math must go through
-    # the ArrayBackend kernels (PR 7).  Host-side helper functions are
-    # whitelisted by name with a justification.
-    "seam_modules": [
-        "repro/core/engine.py",
-        "repro/serving/cache.py",
-        "repro/serving/store.py",
-        "repro/serving/index.py",
-    ],
-    "seam_whitelist": {
-        "repro/core/engine.py": {
-            "reference_solve_all_pairs": (
-                "the pre-engine reference loop is host-side by design; "
-                "it is the bitwise oracle the seam is checked against"
-            ),
-            "_bench_problem": (
-                "benchmark problem synthesis; never on the serving path"
-            ),
-            "run_engine_benchmark": (
-                "benchmark harness timing/summary math; never on the "
-                "serving path"
-            ),
-        },
-        "repro/serving/cache.py": {
-            "claim_errors": (
-                "scalar per-entry audit reference for the vectorized "
-                "scan; production lookups never call it"
-            ),
-        },
-    },
     # ------------------------------------------------------------- #
     # determinism: modules where *any* wall-clock read is an error
     # unless annotated `# timing-ok: <why>` — these are the solve and
@@ -111,11 +79,11 @@ def validate_config(config: dict) -> None:
     the same justified-suppression standard keeps 'just whitelist it'
     from becoming the path of least resistance.
     """
-    for key in ("seam_whitelist", "store_write_whitelist"):
-        for module, entries in config.get(key, {}).items():
-            for func, why in entries.items():
-                if not str(why).strip():
-                    raise ValueError(
-                        f"config {key}[{module!r}][{func!r}] has an empty "
-                        "justification"
-                    )
+    key = "store_write_whitelist"
+    for module, entries in config.get(key, {}).items():
+        for func, why in entries.items():
+            if not str(why).strip():
+                raise ValueError(
+                    f"config {key}[{module!r}][{func!r}] has an empty "
+                    "justification"
+                )

@@ -19,11 +19,6 @@ RULES: dict[str, str] = {
         "mutated inside `with <lock>:` (or in a function annotated "
         "`# requires-lock: <lock>`)"
     ),
-    "backend-seam": (
-        "seam-covered modules must route array math (np.linalg.*, "
-        "einsum, argpartition, the @ operator) through the ArrayBackend "
-        "kernels, not raw numpy"
-    ),
     "determinism": (
         "no unseeded RNGs, no global-state randomness, and no wall-clock "
         "values feeding seeds or solve/wire paths (timing meters need a "
