@@ -1,9 +1,9 @@
-"""Legacy setup shim for offline editable installs.
+"""Setuptools shim for offline editable installs.
 
-The execution environment has no ``wheel`` package, so PEP 660 editable
-installs (``pip install -e .`` through the pyproject build backend) cannot
-build the editable wheel.  This shim lets pip fall back to
-``setup.py develop``.  All metadata lives in ``pyproject.toml``.
+Without the ``wheel`` package, PEP 660 editable installs (``pip install
+-e .``) cannot build the editable wheel; this shim lets pip fall back to
+``setup.py develop``.  The repository has no ``pyproject.toml``: the
+``setup()`` call below is the package's only metadata.
 """
 
 from setuptools import find_packages, setup

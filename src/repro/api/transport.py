@@ -392,6 +392,11 @@ class BrokerHandle:
         return self._query_count
 
     @property
+    def budget(self) -> int | None:
+        """The backing API's hard query budget (shared by every handle)."""
+        return self._broker.api.budget
+
+    @property
     def request_count(self) -> int:
         """Logical round trips (``predict_proba`` calls) this handle made.
 

@@ -27,6 +27,28 @@ With a ``clip_box`` both interpreters draw hypercube samples round by round
 from the shared stream, in different orders, and agree only in
 distribution.
 
+The start edge
+--------------
+The paper starts every solve at edge ``r = 1`` and halves it after each
+failed round, so on a model whose regions are much smaller than 1 most
+of a solve's queries go to rounds that must fail.  Left at its default
+(``initial_edge=None``), the interpreter instead measures where its
+solves certify against an API before its first batch there
+(:meth:`BatchOpenAPIInterpreter.start_edge`): one lock-step run of the
+paper's schedule (edge 1, shrink 1/2) over :data:`CALIBRATION_DRAW`
+standard-normal points (uniform in the ``clip_box`` when one is set)
+drawn from a generator private to the calibration and keyed by the
+integer ``seed``.  The start edge is the largest power of two at or
+below the :data:`CALIBRATION_QUANTILE` quantile of the certified final
+edges, or 1 when more than that share of the draw fails.  The result is
+a pure function of ``(seed, d, the API's answers)``: every process that
+builds the same interpreter over the same model starts at the same edge,
+and no live request, cache or arrival order enters it.  An API with a
+hard ``budget`` is not spent on calibration and keeps edge 1.  A
+smaller start edge does not weaken the certificate: a round certifies
+on its own consistency, whatever edge it ran at (see
+:mod:`repro.utils.linalg`).
+
 Round-trip accounting under micro-batching
 ------------------------------------------
 The serving layer (:mod:`repro.serving`) coalesces concurrent
@@ -49,6 +71,9 @@ two contracts of :meth:`~BatchOpenAPIInterpreter.interpret_batch`:
 
 from __future__ import annotations
 
+import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +97,27 @@ from repro.exceptions import (
     TransportExhaustedError,
     ValidationError,
 )
-from repro.utils.linalg import DEFAULT_CERTIFICATE_ATOL, DEFAULT_CERTIFICATE_RTOL
+from repro.utils.linalg import DEFAULT_CERTIFICATE_RTOL
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_in_range, check_positive
 
-__all__ = ["BatchOpenAPIInterpreter", "BatchResult"]
+__all__ = [
+    "BatchOpenAPIInterpreter",
+    "BatchResult",
+    "CALIBRATION_DRAW",
+    "CALIBRATION_QUANTILE",
+]
+
+#: Instances in the start-edge calibration draw.
+CALIBRATION_DRAW: int = 128
+
+#: Share of the calibration draw allowed to fail, or to certify only
+#: below the chosen start edge.
+CALIBRATION_QUANTILE: float = 0.01
+
+#: Spawn key of the calibration generator: it shares only the integer
+#: seed with the interpreter's own sample stream, never its state.
+_CALIBRATION_SPAWN_KEY = (0xCA1B,)
 
 
 @dataclass
@@ -164,10 +205,9 @@ class BatchOpenAPIInterpreter:
         self,
         *,
         max_iterations: int = 100,
-        initial_edge: float = 1.0,
+        initial_edge: float | None = None,
         shrink: float = 0.5,
         rtol: float = DEFAULT_CERTIFICATE_RTOL,
-        atol: float = DEFAULT_CERTIFICATE_ATOL,
         prob_floor: float = DEFAULT_PROB_FLOOR,
         clip_box: tuple[float, float] | None = None,
         seed: SeedLike = None,
@@ -176,10 +216,12 @@ class BatchOpenAPIInterpreter:
         if max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
         self.max_iterations = int(max_iterations)
-        self.initial_edge = check_positive(initial_edge, name="initial_edge")
+        self.initial_edge = (
+            None if initial_edge is None
+            else check_positive(initial_edge, name="initial_edge")
+        )
         self.shrink = check_in_range(shrink, 0.0, 1.0, name="shrink", inclusive=False)
         self.rtol = check_positive(rtol, name="rtol")
-        self.atol = check_positive(atol, name="atol")
         self.prob_floor = check_positive(prob_floor, name="prob_floor")
         self.per_instance_seed = bool(per_instance_seed)
         if self.per_instance_seed and not (
@@ -192,6 +234,73 @@ class BatchOpenAPIInterpreter:
             )
         self._seed = seed
         self._sampler = HypercubeSampler(seed, clip_box=clip_box)
+        self._calibration_lock = threading.Lock()
+        # One calibration per API object, dropped with the API.
+        self._calibrations: weakref.WeakKeyDictionary = (  # guarded-by: _calibration_lock
+            weakref.WeakKeyDictionary()
+        )
+
+    # ------------------------------------------------------------------ #
+    def start_edge(self, api: QueryClient) -> float:
+        """The first round's edge of this interpreter's solves on ``api``.
+
+        With an explicit ``initial_edge`` that edge, at no cost.
+        Otherwise the first call per API object runs the calibration
+        (see the module notes; its queries show on ``api``'s meter) and
+        later calls return its result.  The calibration neither reads
+        nor advances the interpreter's own sample stream.
+        """
+        if self.initial_edge is not None:
+            return self.initial_edge
+        with self._calibration_lock:
+            edge = self._calibrations.get(api)
+            if edge is None:
+                edge = self._calibrate(api)
+                self._calibrations[api] = edge
+            return edge
+
+    def _calibrate(self, api: QueryClient) -> float:  # requires-lock: _calibration_lock
+        """One lock-step run of the paper's schedule over the
+        calibration draw, reduced to a start edge."""
+        # PredictionAPI and BrokerHandle expose a budget; a client
+        # without one has none.
+        if getattr(api, "budget", None) is not None:
+            return 1.0
+        seed = (
+            int(self._seed)
+            if isinstance(self._seed, (int, np.integer))
+            else 0
+        )
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=_CALIBRATION_SPAWN_KEY)
+        )
+        shape = (CALIBRATION_DRAW, api.n_features)
+        clip_box = self._sampler.clip_box
+        if clip_box is None:
+            X = rng.standard_normal(shape)
+        else:
+            lo, hi = clip_box
+            X = lo + (hi - lo) * rng.random(shape)
+        paper = BatchOpenAPIInterpreter(
+            max_iterations=self.max_iterations,
+            initial_edge=1.0,
+            shrink=0.5,
+            rtol=self.rtol,
+            prob_floor=self.prob_floor,
+            clip_box=clip_box,
+            seed=rng,
+        )
+        result = paper.interpret_batch(
+            api, X, raise_on_budget=False, raise_on_transport=False
+        )
+        edges = [
+            it.final_edge for it in result.interpretations if it is not None
+        ]
+        if len(X) - len(edges) > CALIBRATION_QUANTILE * len(X):
+            return 1.0
+        quantile = float(np.percentile(edges, 100 * CALIBRATION_QUANTILE))
+        # The largest power of two at or below the quantile.
+        return min(1.0, math.ldexp(0.5, math.frexp(quantile)[1]))
 
     # ------------------------------------------------------------------ #
     def interpret_batch(
@@ -258,6 +367,7 @@ class BatchOpenAPIInterpreter:
                     f"classes must have shape ({n},), got {classes.shape}"
                 )
 
+        start_edge = self.start_edge(api)
         queries_before = api.query_count
         if y0 is None:
             # Round trip 0: all the x0 predictions at once.  The opt-out
@@ -307,7 +417,7 @@ class BatchOpenAPIInterpreter:
             )
             state = _InstanceState(
                 x0=X[i], y0=y0_all[i], target_class=c,
-                edge=self.initial_edge, rng=rng,
+                edge=start_edge, rng=rng,
             )
             if simplex:
                 state.directions = simplex_directions(
@@ -372,7 +482,7 @@ class BatchOpenAPIInterpreter:
             if simplex:
                 screen = screen_simplex_rounds(
                     probs_stack, classes_stack,
-                    rtol=self.rtol, atol=self.atol, floor=self.prob_floor,
+                    rtol=self.rtol, floor=self.prob_floor,
                 )
                 solve = [b for b in range(k) if screen.passed[b]]
             if solve:
@@ -385,7 +495,7 @@ class BatchOpenAPIInterpreter:
                     points_stack, probs_stack[idx], samples_stack,
                     classes_stack[idx],
                     centers=x0s[idx],
-                    rtol=self.rtol, atol=self.atol, floor=self.prob_floor,
+                    rtol=self.rtol, floor=self.prob_floor,
                 )
                 for b, round_ in zip(solve, solve_rounds):
                     if round_.certified:

@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.utils.linalg import (
-    DEFAULT_CERTIFICATE_ATOL,
     DEFAULT_CERTIFICATE_RTOL,
     AffineLeastSquaresResult,
 )
@@ -155,7 +154,6 @@ def solve_all_pairs(
     *,
     center: np.ndarray | None = None,
     rtol: float = DEFAULT_CERTIFICATE_RTOL,
-    atol: float = DEFAULT_CERTIFICATE_ATOL,
     floor: float = DEFAULT_PROB_FLOOR,
     check_certificate: bool = True,
 ) -> dict[tuple[int, int], PairSystemSolution]:
@@ -186,7 +184,6 @@ def solve_all_pairs(
         classes,
         centers=centers,
         rtol=rtol,
-        atol=atol,
         floor=floor,
         check_certificate=check_certificate,
     )[0]

@@ -51,7 +51,7 @@ from repro.core.rounds import (
 from repro.core.sampling import HypercubeSampler, simplex_directions
 from repro.core.types import Interpretation
 from repro.exceptions import CertificateError, ValidationError
-from repro.utils.linalg import DEFAULT_CERTIFICATE_ATOL, DEFAULT_CERTIFICATE_RTOL
+from repro.utils.linalg import DEFAULT_CERTIFICATE_RTOL
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_in_range, check_positive
 
@@ -89,8 +89,8 @@ class OpenAPIInterpreter:
         value barely matters because of the adaptive shrinking).
     shrink:
         Multiplicative edge decay per failed iteration (paper: 1/2).
-    rtol, atol:
-        Consistency-certificate thresholds; see
+    rtol:
+        Consistency-certificate threshold; see
         :func:`repro.utils.linalg.consistency_certificate`.
     prob_floor:
         Probability clamp for the log-odds transform.
@@ -122,7 +122,6 @@ class OpenAPIInterpreter:
         initial_edge: float = 1.0,
         shrink: float = 0.5,
         rtol: float = DEFAULT_CERTIFICATE_RTOL,
-        atol: float = DEFAULT_CERTIFICATE_ATOL,
         prob_floor: float = DEFAULT_PROB_FLOOR,
         clip_box: tuple[float, float] | None = None,
         seed: SeedLike = None,
@@ -133,7 +132,6 @@ class OpenAPIInterpreter:
         self.initial_edge = check_positive(initial_edge, name="initial_edge")
         self.shrink = check_in_range(shrink, 0.0, 1.0, name="shrink", inclusive=False)
         self.rtol = check_positive(rtol, name="rtol")
-        self.atol = check_positive(atol, name="atol")
         self.prob_floor = check_positive(prob_floor, name="prob_floor")
         self._sampler = HypercubeSampler(seed, clip_box=clip_box)
         #: Diagnostics of the most recent interpret() call.
@@ -218,7 +216,7 @@ class OpenAPIInterpreter:
             if directions is not None:
                 screen = screen_simplex_rounds(
                     probs[None], np.array([c]),
-                    rtol=self.rtol, atol=self.atol, floor=self.prob_floor,
+                    rtol=self.rtol, floor=self.prob_floor,
                 )
                 if not screen.passed[0]:
                     state.history.append(
@@ -240,7 +238,6 @@ class OpenAPIInterpreter:
                 points, probs, samples, c,
                 center=x0,
                 rtol=self.rtol,
-                atol=self.atol,
                 floor=self.prob_floor,
             )
             state.history.append(
@@ -310,7 +307,6 @@ class OpenAPIInterpreter:
                 c,
                 center=base.x0,
                 rtol=self.rtol,
-                atol=self.atol,
                 floor=self.prob_floor,
             )
             if round_c.certified:

@@ -46,7 +46,7 @@ from repro.core.equations import (
 )
 from repro.core.types import CoreParameterEstimate, Interpretation
 from repro.exceptions import ValidationError
-from repro.utils.linalg import DEFAULT_CERTIFICATE_ATOL, DEFAULT_CERTIFICATE_RTOL
+from repro.utils.linalg import DEFAULT_CERTIFICATE_RTOL
 
 __all__ = [
     "SimplexScreen",
@@ -187,7 +187,6 @@ def run_solve_round(
     *,
     center: np.ndarray | None = None,
     rtol: float = DEFAULT_CERTIFICATE_RTOL,
-    atol: float = DEFAULT_CERTIFICATE_ATOL,
     floor: float = DEFAULT_PROB_FLOOR,
 ) -> SolveRound:
     """Solve and certify all pairs of ``target_class`` over one sample set.
@@ -205,7 +204,7 @@ def run_solve_round(
     )
     stack = solve_stack(
         points_s, probs_s, classes, centers=centers,
-        rtol=rtol, atol=atol, floor=floor,
+        rtol=rtol, floor=floor,
     )
     return SolveRound._of_block(stack, 0, points, probs, samples)
 
@@ -218,7 +217,6 @@ def run_solve_rounds_batched(
     *,
     centers: np.ndarray | None = None,
     rtol: float = DEFAULT_CERTIFICATE_RTOL,
-    atol: float = DEFAULT_CERTIFICATE_ATOL,
     floor: float = DEFAULT_PROB_FLOOR,
 ) -> list[SolveRound]:
     """Solve and certify a whole stack of instances in one engine pass.
@@ -249,7 +247,6 @@ def run_solve_rounds_batched(
         target_classes,
         centers=centers,
         rtol=rtol,
-        atol=atol,
         floor=floor,
     )
     return [
@@ -295,7 +292,6 @@ def screen_simplex_rounds(
     target_classes: np.ndarray,
     *,
     rtol: float = DEFAULT_CERTIFICATE_RTOL,
-    atol: float = DEFAULT_CERTIFICATE_ATOL,
     floor: float = DEFAULT_PROB_FLOOR,
 ) -> SimplexScreen:
     """Certify ``k`` simplex rounds without solving them.
@@ -331,9 +327,7 @@ def screen_simplex_rounds(
     n = targets_t.shape[2]
     steps = targets_t[:, :, 1:] - targets_t[:, :, :1]      # (k, C-1, n-1)
     res_norms = np.abs(steps.sum(axis=2)) / np.sqrt((n - 1) * n)
-    relatives, grid = certificate_verdicts(
-        res_norms, targets_t, rtol=rtol, atol=atol
-    )
+    relatives, grid = certificate_verdicts(res_norms, targets_t, rtol=rtol)
     return SimplexScreen(res_norms, relatives, grid)
 
 

@@ -1415,7 +1415,8 @@ class GatewayClient:
     to talk to a :class:`Gateway`.  Not thread-safe; give each thread
     its own client.  ``last_headers`` holds the response headers of the
     most recent request (lower-cased keys), so callers can observe
-    ``Retry-After`` on shed responses.
+    ``Retry-After`` on shed responses.  Close it with :meth:`close`, or
+    use it as a context manager.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float = 120.0):
@@ -1476,7 +1477,14 @@ class GatewayClient:
         return self.request("POST", "/admin/restart")
 
     def close(self) -> None:
+        """Close the connection (a later request reconnects)."""
         self._conn.close()
+
+    def __enter__(self) -> "GatewayClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def replay_workload(

@@ -7,10 +7,12 @@ trips — so the service meters itself and exposes an immutable
 
 Two accounting identities are maintained and pinned by tests:
 
-* ``n_queries`` equals the backing API's query-meter delta over the
-  service's lifetime (every spent query is attributed, including queries
-  wasted by budget failures);
-* ``round_trips`` equals the API's request-meter delta, and
+* ``n_queries + calibration_queries`` equals the backing API's
+  query-meter delta over the service's lifetime (every spent query is
+  attributed, including queries wasted by budget failures and the
+  start-edge calibration at construction);
+* ``round_trips`` equals the API's request-meter delta since
+  construction (after the calibration), and
   ``round_trips_saved`` is the sequential-equivalent trip count minus the
   actual one (see :mod:`repro.core.batch` for the arithmetic).
 """
@@ -61,6 +63,12 @@ class ServiceStats:
         Request latency quantiles over a bounded recent window (NaN when
         no latencies were recorded; rendered as ``n/a`` in text and
         ``None`` in :meth:`as_dict` so serialized output stays JSON-safe).
+    initial_edge:
+        The first round's edge of every fresh solve (see
+        :meth:`~repro.core.batch.BatchOpenAPIInterpreter.start_edge`).
+    calibration_queries:
+        API queries the service's construction spent calibrating
+        ``initial_edge``; not part of ``n_queries``.
     """
 
     n_requests: int
@@ -75,6 +83,8 @@ class ServiceStats:
     round_trips_saved: int
     p50_latency_s: float
     p95_latency_s: float
+    initial_edge: float
+    calibration_queries: int
 
     def as_dict(self) -> dict[str, float | int | None]:
         """JSON-safe rendering: non-finite values become ``None``, never
@@ -97,6 +107,8 @@ class ServiceStats:
             "round_trips_saved": self.round_trips_saved,
             "p50_latency_s": _safe(self.p50_latency_s),
             "p95_latency_s": _safe(self.p95_latency_s),
+            "initial_edge": _safe(self.initial_edge),
+            "calibration_queries": self.calibration_queries,
         }
 
     def as_text(self) -> str:
@@ -115,6 +127,8 @@ class ServiceStats:
             ("round trips saved", f"{self.round_trips_saved}"),
             ("p50 latency", _fmt_latency(self.p50_latency_s)),
             ("p95 latency", _fmt_latency(self.p95_latency_s)),
+            ("initial edge", f"{self.initial_edge:.6g}"),
+            ("calibration queries", f"{self.calibration_queries}"),
         ]
         width = max(len(label) for label, _ in rows)
         return "\n".join(f"{label:<{width}}  {value}" for label, value in rows)
@@ -137,7 +151,13 @@ class ServiceMetrics:
     service's flush lock, so no internal locking is needed.
     """
 
-    def __init__(self, *, latency_window: int = 4096):
+    def __init__(
+        self,
+        *,
+        latency_window: int = 4096,
+        initial_edge: float = 1.0,
+        calibration_queries: int = 0,
+    ):
         if latency_window < 1:
             raise ValidationError(
                 f"latency_window must be >= 1, got {latency_window}"
@@ -151,6 +171,8 @@ class ServiceMetrics:
         self.n_queries = 0
         self.round_trips = 0
         self.round_trips_saved = 0
+        self.initial_edge = float(initial_edge)
+        self.calibration_queries = int(calibration_queries)
 
     # ------------------------------------------------------------------ #
     def record_response(self, response: InterpretResponse) -> None:
@@ -211,4 +233,6 @@ class ServiceMetrics:
                            if has_lat else float("nan")),
             p95_latency_s=(float(np.percentile(latencies, 95))
                            if has_lat else float("nan")),
+            initial_edge=self.initial_edge,
+            calibration_queries=self.calibration_queries,
         )

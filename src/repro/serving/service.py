@@ -101,7 +101,11 @@ class InterpretationService:
     interpreter:
         The lock-step solver for cache misses; a default
         :class:`BatchOpenAPIInterpreter` is built from ``seed`` and
-        ``interpreter_kwargs`` when omitted.
+        ``interpreter_kwargs`` when omitted.  Its start edge is resolved
+        here, before the first request
+        (:meth:`~repro.core.batch.BatchOpenAPIInterpreter.start_edge`;
+        a calibrating interpreter queries the API once, reported as
+        ``calibration_queries`` in :meth:`stats`).
     cache:
         The region tier: a pre-configured :class:`RegionCache`, or any
         object with the same ``lookup``/``insert``/``stats`` surface — a
@@ -191,12 +195,19 @@ class InterpretationService:
         self.cache: RegionCache | None = cache
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_s)
-        self.metrics = ServiceMetrics()  # guarded-by: _metrics_lock
 
         # The one query client every flush speaks through: the service's
         # broker handle when brokered, else the raw API.
         self._client: QueryClient = (
             broker.handle("service") if broker is not None else api
+        )
+        # The start edge is resolved here, once, through the served
+        # client; its queries are metered apart from every flush's.
+        queries_before = api.query_count
+        initial_edge = self.interpreter.start_edge(self._client)
+        self.metrics = ServiceMetrics(  # guarded-by: _metrics_lock
+            initial_edge=initial_edge,
+            calibration_queries=api.query_count - queries_before,
         )
 
         self._queue: deque[PendingResponse] = deque()  # guarded-by: _cv

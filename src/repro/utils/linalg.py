@@ -49,7 +49,7 @@ where ``h_ii`` is that sample's leverage in the ``(d+2) × (d+1)``
 design.  A random hypercube design can leave one sample with
 ``1 - h_ii`` near zero, and then a crossing passes the certificate:
 on the hypercube, instance 636 of ``perfbench``'s fixed fresh draw
-certified at a relative residual of 5.1e-7, under the default ``rtol``
+certified at a relative residual of 5.1e-7, under the former ``rtol``
 of 1e-6, with decision features 0.029 off the ground truth (pinned in
 ``perfbench/common.py`` as ``KNOWN_FALSE_CERTIFICATES``).
 
@@ -57,15 +57,32 @@ The interpreters therefore query a rotated regular simplex
 (:func:`repro.core.sampling.simplex_directions`), on which every sample
 has the same ``1 - h_ii = 1 / ((d + 1)(d + 2))``: each reaches the
 residual with sensitivity ``1 / sqrt((d + 1)(d + 2))``, 1/sqrt(132) ≈
-0.087 at ``d = 10``, and no sample is blind.  That narrows the
-false-certificate hole; it does not close it.  Over 24,000 fresh
+0.087 at ``d = 10``, and no sample is blind.  What is left are shallow
+crossings: a sample so little past a boundary that its violation, and
+the error it puts in ``D``, are a small fraction of the round's signal.
+At an ``rtol`` of 1e-6 some of them passed: over 24,000 fresh
 credit-scoring instances (three draws of 8,000,
-``benchmarks/bench_ablation_query_cost.py``), the simplex certified 4
-answers more than 1e-6 off the ground truth against 23 for the
-hypercube, the worst 1.7e-4 off against 2.13.  The remaining errors
-are shallow crossings: a sample so little past a boundary that its
-violation, and the error it puts in ``D``, are a small fraction of the
-round's signal, under ``rtol`` even at full sensitivity.
+``benchmarks/bench_ablation_query_cost.py``) the simplex certified 4
+answers more than 1e-6 off the ground truth (worst 1.7e-4) and the
+hypercube 23 (worst 2.13).  At the default ``rtol`` of 1e-8 both
+designs certify none of them, at the same query cost.
+
+No signal, no certificate
+-------------------------
+The relative residual divides by the centred target norm, so it is
+undefined when that norm is zero or at the rounding level of the
+targets themselves (:func:`signal_resolution`): a locally constant
+log-odds.  An API that returns exact probabilities gives such a pair
+only in a degenerate region (dead units, ``D = 0``); an API that
+rounds its answers gives the same constant targets once the edge is
+small enough that every sample rounds alike, and the answers cannot
+tell the two apart.  Such a pair's relative residual is therefore
+``inf`` and it is refused: the certificate vouches only for a signal it
+can measure.  There is no absolute residual floor either — a floor
+certifies whatever a quantised answer says once its signal shrinks
+under it.  Theorem 2, like the closed form of OpenBox it builds on,
+assumes exact probabilities; refusing is how this library answers an
+API that does not give them.
 """
 
 from __future__ import annotations
@@ -84,20 +101,29 @@ __all__ = [
     "solve_affine_ridge",
     "consistency_certificate",
     "is_full_rank",
+    "signal_resolution",
 ]
 
 #: Default relative-residual threshold for the consistency certificate.
 #: With the centered-target denominator, consistent systems land at
 #: ~1e-12 and region-crossing systems typically well above it, whatever
 #: the hypercube edge.  A crossing sample of high leverage ``h_ii`` is
-#: damped by ``sqrt(1 - h_ii)`` and can fall under this threshold; the
-#: simplex design bounds that damping, but a shallow crossing can still
-#: pass (see the module notes).
-DEFAULT_CERTIFICATE_RTOL: float = 1e-6
+#: damped by ``sqrt(1 - h_ii)``; on the simplex design no shallow
+#: crossing of the 24,000-instance sweep passes 1e-8, where 1e-6 let 4
+#: through (see the module notes).
+DEFAULT_CERTIFICATE_RTOL: float = 1e-8
 
-#: Default absolute floor on the residual for the certificate.  Guards the
-#: degenerate case where targets are identically zero.
-DEFAULT_CERTIFICATE_ATOL: float = 1e-9
+
+def signal_resolution(n: int) -> float:
+    """The smallest centred target norm that counts as a signal, per unit
+    of the largest ``|t_i|`` over ``n`` targets.
+
+    Subtracting the mean of ``n`` float64 targets leaves up to about
+    ``n·ε·max|t|`` of rounding in each entry, ``n^1.5·ε·max|t|`` in
+    their norm: a centred norm at or under that carries no information
+    (see the module notes, "No signal, no certificate").
+    """
+    return float(n) ** 1.5 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -116,7 +142,9 @@ class AffineLeastSquaresResult:
     relative_residual:
         ``residual_norm`` measured against the centered target norm
         ``||t - mean(t)||``; see module docstring for why centering is
-        load-bearing.
+        load-bearing.  ``inf`` when that norm is at or under
+        :func:`signal_resolution` times the largest ``|t_i|`` (no
+        signal to measure against).
     rank:
         Numerical rank of the scaled design matrix.
     n_equations:
@@ -233,7 +261,8 @@ def solve_affine_least_squares(
     residual_norm = float(np.linalg.norm(residual))
     # Centered target norm: the weight-determining signal (see module docs).
     denom = float(np.linalg.norm(targets - targets.mean()))
-    relative = residual_norm / denom if denom > 0 else residual_norm
+    resolution = signal_resolution(n) * float(np.abs(targets).max())
+    relative = residual_norm / denom if denom > resolution else float("inf")
 
     weights = beta[1:] / scale
     intercept = float(beta[0] - weights @ center)
@@ -334,15 +363,14 @@ def consistency_certificate(
     result: AffineLeastSquaresResult,
     *,
     rtol: float = DEFAULT_CERTIFICATE_RTOL,
-    atol: float = DEFAULT_CERTIFICATE_ATOL,
 ) -> bool:
     """Decide whether an overdetermined system "has a solution".
 
     This is the floating-point realization of the paper's exact-arithmetic
     test "if :math:`\\Omega^{c,c'}_{d+2}` has a solution".  A system is
-    accepted when its residual is at noise level:
+    accepted when its residual is at noise level relative to its signal:
 
-    ``residual_norm <= atol  or  relative_residual <= rtol``.
+    ``relative_residual <= rtol``.
 
     With exact region containment the relative residual sits at ~1e-12
     (rounding error of the log-odds over the centered-signal scale).  When
@@ -353,12 +381,13 @@ def consistency_certificate(
     is therefore ~|ΔD|/|D| only for a sample of moderate leverage; a
     sample with ``1 - h_ii`` near zero hides its crossing.  On the
     hypercube, instance 636 of ``perfbench``'s fresh draw certified
-    falsely this way at a relative residual of 5.1e-7, under the default
+    falsely this way at a relative residual of 5.1e-7, under the former
     ``rtol`` of 1e-6.  The interpreters' simplex design gives every
     sample ``1 - h_ii = 1 / ((d + 1)(d + 2))`` (see the module notes).
 
-    The ``atol`` floor covers the degenerate zero-signal case (all targets
-    identical — a locally constant log-odds, i.e. ``D = 0``).
+    A pair without signal (constant targets, up to
+    :func:`signal_resolution`) has an infinite relative residual and is
+    refused: exact and quantised answers cannot be told apart there.
     """
     if not result.is_overdetermined:
         # A square full-rank system always has a (unique) solution; calling
@@ -372,7 +401,7 @@ def consistency_certificate(
         # Rank-deficient sample (probability 0 under continuous sampling):
         # the solution is not unique, so we cannot certify it.
         return False
-    return result.residual_norm <= atol or result.relative_residual <= rtol
+    return result.relative_residual <= rtol
 
 
 def is_full_rank(matrix: np.ndarray, *, rtol: float = 1e-10) -> bool:

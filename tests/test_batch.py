@@ -57,7 +57,9 @@ class TestRoundTripSavings:
             seq_iters.append(sequential.interpret(seq_api, x0).iterations)
 
         batch_api = PredictionAPI(relu_model)
-        result = BatchOpenAPIInterpreter(seed=3).interpret_batch(batch_api, X)
+        result = BatchOpenAPIInterpreter(
+            seed=3, initial_edge=1.0
+        ).interpret_batch(batch_api, X)
 
         # Sequential: one trip for each x0 plus one per iteration.
         assert seq_api.request_count == len(X) + sum(seq_iters)

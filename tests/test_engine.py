@@ -27,7 +27,8 @@ from repro.core import (
     solve_all_pairs,
     solve_pair_systems_stacked,
 )
-from repro.core.engine import _bench_problem
+from repro.core.engine import _bench_problem, solve_stack
+from repro.core.sampling import simplex_directions
 from repro.exceptions import ValidationError
 from repro.serving import RegionCache, TieredRegionStore
 
@@ -154,7 +155,8 @@ class TestEngineEquivalence:
                 assert sol.result.weights.dtype == np.float64
 
     def test_constant_log_odds_targets(self):
-        """Degenerate zero-signal targets: the atol certificate path."""
+        """Degenerate zero-signal targets: no signal, so every pair is
+        refused (infinite relative residual), on both paths."""
         rng = np.random.default_rng(5)
         k, n, d, C = 3, 8, 4, 3
         x0s = rng.normal(size=(k, d))
@@ -171,7 +173,8 @@ class TestEngineEquivalence:
             )
             _assert_equivalent(stacked[b], reference)
             for sol in stacked[b].values():
-                assert sol.certified
+                assert not sol.certified
+                assert sol.result.relative_residual == np.inf
                 np.testing.assert_allclose(
                     sol.result.weights, 0.0, atol=1e-10
                 )
@@ -204,6 +207,43 @@ class TestEngineEquivalence:
         for sol in stacked[2].values():  # healthy block rode along
             assert sol.result.rank == d + 1
             assert sol.certified
+
+    def test_ill_conditioned_blocks_take_the_svd_path(self):
+        """A full-rank design past condition 100 is solved by ``lstsq``
+        (the normal equations would square its condition number): its
+        weights are the reference's bitwise.  A simplex design, at
+        condition O(1), stays on the fast path."""
+        rng = np.random.default_rng(21)
+        k, d, C = 2, 6, 3
+        x0s = rng.uniform(size=(k, d))
+        # Block 0: a hypercube draw squashed along one axis.
+        steps = rng.uniform(-1e-3, 1e-3, size=(k, d + 1, d))
+        steps[0, :, 0] *= 1e-3
+        steps[1] = 1e-3 * simplex_directions(rng, d)
+        points = np.concatenate(
+            [x0s[:, None, :], x0s[:, None, :] + steps], axis=1
+        )
+        W = rng.normal(size=(d, C))
+        probs = _softmax(points @ W)
+        classes = np.zeros(k, dtype=int)
+        offsets = points[0] - x0s[0]
+        design = np.hstack(
+            [np.ones((d + 2, 1)), offsets / np.abs(offsets).max()]
+        )
+        assert np.linalg.cond(design) > 100.0
+        stack = solve_stack(points, probs, classes, centers=x0s)
+        assert 0 in stack._lstsq and 1 not in stack._lstsq
+        stacked = [stack.solutions(b) for b in range(k)]
+        for b in range(k):
+            reference = reference_solve_all_pairs(
+                points[b], probs[b], 0, center=x0s[b]
+            )
+            _assert_equivalent(stacked[b], reference)
+        for pair, ref in reference_solve_all_pairs(
+            points[0], probs[0], 0, center=x0s[0]
+        ).items():
+            assert (stacked[0][pair].result.weights.tobytes()
+                    == ref.result.weights.tobytes())
 
     def test_batched_rounds_match_sequential_rounds(self):
         rng = np.random.default_rng(11)

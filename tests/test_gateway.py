@@ -28,11 +28,18 @@ fails the test rather than hanging the suite.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from proc_helpers import TINY_GATEWAY_KWARGS, CrashWriter
+from proc_helpers import (
+    PROC_HELPERS_DIR,
+    TINY_GATEWAY_KWARGS,
+    CrashWriter,
+    subprocess_env,
+)
 from proc_helpers import crash_writer
 from repro.api import PredictionAPI
 from repro.serving import (
@@ -179,9 +186,8 @@ class TestFleetResilience:
                 gateway.host, gateway.port, requests[half:]
             )
             stats = gateway.stats()
-            status, health = GatewayClient(
-                gateway.host, gateway.port
-            ).healthz()
+            with GatewayClient(gateway.host, gateway.port) as client:
+                status, health = client.healthz()
         finally:
             gateway.stop()
         for response, expected in zip(
@@ -200,14 +206,14 @@ class TestFleetResilience:
         gateway = _start_gateway(tmp_path, n_workers=1, supervise=False)
         try:
             gateway.kill_worker(0)
-            client = GatewayClient(gateway.host, gateway.port)
-            lost_status, lost_body = client.request(
-                "POST", "/interpret", {"x0": [0.0] * 5}
-            )
-            status, body = client.request(
-                "POST", "/interpret", {"x0": [0.0] * 5}
-            )
-            health_status, health = client.healthz()
+            with GatewayClient(gateway.host, gateway.port) as client:
+                lost_status, lost_body = client.request(
+                    "POST", "/interpret", {"x0": [0.0] * 5}
+                )
+                status, body = client.request(
+                    "POST", "/interpret", {"x0": [0.0] * 5}
+                )
+                health_status, health = client.healthz()
         finally:
             gateway.stop()
         assert lost_status == 503
@@ -252,43 +258,58 @@ class TestHttpFrontend:
         gateway.stop()
 
     def test_unknown_path_is_404(self, running_gateway):
-        status, body = GatewayClient(
-            running_gateway.host, running_gateway.port
-        ).request("GET", "/nope")
+        with GatewayClient(running_gateway.host, running_gateway.port) as client:
+            status, body = client.request("GET", "/nope")
         assert status == 404
         assert body["error"]["code"] == "not_found"
 
     def test_wrong_method_is_405(self, running_gateway):
-        status, body = GatewayClient(
-            running_gateway.host, running_gateway.port
-        ).request("GET", "/interpret")
+        with GatewayClient(running_gateway.host, running_gateway.port) as client:
+            status, body = client.request("GET", "/interpret")
         assert status == 405
         assert body["error"]["code"] == "method_not_allowed"
 
     def test_unparseable_body_is_400(self, running_gateway):
-        client = GatewayClient(running_gateway.host, running_gateway.port)
-        client._conn.request(
-            "POST", "/interpret", body="{not json",
-            headers={"Content-Type": "application/json"},
-        )
-        response = client._conn.getresponse()
-        body = json.loads(response.read())
+        with GatewayClient(running_gateway.host, running_gateway.port) as client:
+            client._conn.request(
+                "POST", "/interpret", body="{not json",
+                headers={"Content-Type": "application/json"},
+            )
+            response = client._conn.getresponse()
+            body = json.loads(response.read())
         assert response.status == 400
         assert body["error"]["code"] == "invalid_request"
 
     def test_malformed_instance_is_service_error(self, running_gateway):
-        body = GatewayClient(
-            running_gateway.host, running_gateway.port
-        ).interpret(np.array([1.0, 2.0]))  # wrong dimensionality
+        with GatewayClient(running_gateway.host, running_gateway.port) as client:
+            body = client.interpret(np.array([1.0, 2.0]))  # wrong width
         assert body["ok"] is False
         assert body["error"]["code"] == "invalid_request"
 
     def test_stats_endpoint_shape(self, running_gateway):
-        stats = GatewayClient(
-            running_gateway.host, running_gateway.port
-        ).stats()
+        with GatewayClient(running_gateway.host, running_gateway.port) as client:
+            stats = client.stats()
         assert stats["n_workers"] == 1
         assert "per_worker" in stats and len(stats["per_worker"]) == 1
+
+
+class TestClientHygiene:
+    def test_http_frontend_tests_close_their_sockets(self):
+        """The front-end tests close every client they open: they pass
+        with a leaked socket's ResourceWarning raised as an error."""
+        proc = subprocess.run(
+            [
+                sys.executable, "-X", "dev", "-m", "pytest", "-q",
+                "-p", "no:cacheprovider",
+                "-W", "error::ResourceWarning",
+                "-W", "error::pytest.PytestUnraisableExceptionWarning",
+                f"{__file__}::TestHttpFrontend",
+            ],
+            capture_output=True, text=True, timeout=300,
+            env=subprocess_env(), cwd=PROC_HELPERS_DIR.parents[1],
+        )
+        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+        assert "ResourceWarning" not in proc.stdout + proc.stderr
 
 
 def _assert_record_bitwise(store: SegmentStore, sig: int) -> None:

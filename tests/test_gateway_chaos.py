@@ -331,9 +331,10 @@ class TestRollingRestart:
             thread = threading.Thread(target=_replay)
             thread.start()
             time.sleep(0.2)
-            status, summary = GatewayClient(
+            with GatewayClient(
                 gateway.host, gateway.port, timeout=600.0
-            ).rolling_restart()
+            ) as client:
+                status, summary = client.rolling_restart()
             thread.join(timeout=300)
             assert not thread.is_alive()
 
@@ -358,9 +359,8 @@ class TestRollingRestart:
     def test_admin_restart_is_post_only(self, tmp_path):
         gateway = _start_gateway(tmp_path, n_workers=1)
         try:
-            status, body = GatewayClient(
-                gateway.host, gateway.port
-            ).request("GET", "/admin/restart")
+            with GatewayClient(gateway.host, gateway.port) as client:
+                status, body = client.request("GET", "/admin/restart")
         finally:
             gateway.stop()
         assert status == 405
@@ -380,13 +380,13 @@ class TestFailoverClassification:
             # ``os._exit(17)``, not a signal: the protocol-level kill.
             assert gateway._workers[0].proc.returncode == 17
 
-            client = GatewayClient(gateway.host, gateway.port)
-            lost_status, lost_body = client.request(
-                "POST", "/interpret", {"x0": [0.0] * 5}
-            )
-            next_status, next_body = client.request(
-                "POST", "/interpret", {"x0": [0.0] * 5}
-            )
+            with GatewayClient(gateway.host, gateway.port) as client:
+                lost_status, lost_body = client.request(
+                    "POST", "/interpret", {"x0": [0.0] * 5}
+                )
+                next_status, next_body = client.request(
+                    "POST", "/interpret", {"x0": [0.0] * 5}
+                )
             stats = gateway.stats()
         finally:
             gateway.stop()

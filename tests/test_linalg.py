@@ -190,10 +190,23 @@ class TestConsistencyCertificate:
         res = solve_affine_least_squares(pts, t)
         assert not consistency_certificate(res)
 
-    def test_zero_targets_accepted_via_atol(self):
+    def test_zero_signal_refused(self):
+        """Constant targets (zero, or any value whose centring leaves
+        only rounding) carry no signal: never certified as ``D = 0``."""
         rng = np.random.default_rng(12)
         pts = rng.uniform(size=(7, 4))
-        res = solve_affine_least_squares(pts, np.zeros(7))
+        for value in (0.0, 0.1, -3.7, 1e6):
+            res = solve_affine_least_squares(pts, np.full(7, value))
+            assert res.relative_residual == np.inf
+            assert not consistency_certificate(res)
+
+    def test_tiny_signal_still_certified(self):
+        """The refusal is relative to the targets' own magnitude: an
+        exact affine signal of size 1e-12 certifies."""
+        rng = np.random.default_rng(16)
+        pts = rng.uniform(-1e-12, 1e-12, size=(7, 4))
+        res = solve_affine_least_squares(pts, pts @ rng.normal(size=4))
+        assert res.relative_residual < 1e-10
         assert consistency_certificate(res)
 
     @settings(max_examples=25, deadline=None)

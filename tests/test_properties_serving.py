@@ -180,12 +180,15 @@ class TestBatchSequentialAgreement:
     def test_batch_round_trips_bounded(self, setup):
         kind, seed, model, X = setup
         api = PredictionAPI(model)
-        result = BatchOpenAPIInterpreter(seed=seed).interpret_batch(api, X[:6])
+        interpreter = BatchOpenAPIInterpreter(seed=seed)
+        interpreter.start_edge(api)  # the calibration's trips come first
+        trips_before = api.request_count
+        result = interpreter.interpret_batch(api, X[:6])
         iterations = [
             i.iterations for i in result.interpretations if i is not None
         ]
         assert result.rounds == max(iterations)
-        assert api.request_count == 1 + result.rounds
+        assert api.request_count - trips_before == 1 + result.rounds
 
 
 class TestQueryConservation:
@@ -195,15 +198,17 @@ class TestQueryConservation:
         kind, seed, model, X = setup
         api = PredictionAPI(model)
         service = InterpretationService(api, seed=seed, max_batch_size=8)
+        trips_before = api.request_count  # after the calibration
         rng = np.random.default_rng(seed + 3)
         pool = X[:5]
         requests = pool[rng.integers(0, 5, size=24)]
         responses = service.interpret_many(requests)
         assert all(r.ok for r in responses)
-        assert sum(r.n_queries for r in responses) == api.query_count
         stats = service.stats()
-        assert stats.n_queries == api.query_count
-        assert stats.round_trips == api.request_count
+        served = api.query_count - stats.calibration_queries
+        assert sum(r.n_queries for r in responses) == served
+        assert stats.n_queries == served
+        assert stats.round_trips == api.request_count - trips_before
         assert stats.n_ok == len(responses)
 
     def test_conservation_without_cache(self, setup):
@@ -212,11 +217,14 @@ class TestQueryConservation:
         service = InterpretationService(
             api, seed=seed, enable_cache=False, max_batch_size=8
         )
+        trips_before = api.request_count  # after the calibration
         responses = service.interpret_many(X[:6])
         assert all(r.ok for r in responses)
         assert not any(r.served_from_cache for r in responses)
-        assert sum(r.n_queries for r in responses) == api.query_count
-        assert service.stats().round_trips == api.request_count
+        stats = service.stats()
+        assert (sum(r.n_queries for r in responses)
+                == api.query_count - stats.calibration_queries)
+        assert stats.round_trips == api.request_count - trips_before
 
     def test_cached_run_spends_fewer_queries(self, setup):
         kind, seed, model, X = setup

@@ -395,7 +395,8 @@ class TestServiceBasics:
         stats = service.stats()
         assert stats.n_requests == 2 and stats.cache_hits == 1
         assert stats.hit_rate == pytest.approx(0.5)
-        assert stats.n_queries == relu_api_fresh.query_count
+        assert (stats.n_queries + stats.calibration_queries
+                == relu_api_fresh.query_count)
         assert "cache hits" in stats.as_text()
         assert stats.as_dict()["cache_hits"] == 1
 
@@ -426,7 +427,9 @@ class TestServiceBasics:
         responses = service.interpret_many(X)
         assert all(r.ok for r in responses)
         assert sum(r.served_from_cache for r in responses) == 3
-        assert sum(r.n_queries for r in responses) == relu_api_fresh.query_count
+        assert (sum(r.n_queries for r in responses)
+                == relu_api_fresh.query_count
+                - service.stats().calibration_queries)
         # Savings accounting: sequentially this costs (1 + T) trips for
         # the representative plus 1 per duplicate (each would hit the
         # just-cached entry); actual is 1 probe + T lock-step rounds.
@@ -472,13 +475,15 @@ class TestServiceBasics:
             assert healthy.ok
         stats = service.stats()
         assert stats.n_errors == 1 and stats.n_ok == 1
-        assert stats.n_queries == api.query_count  # aborted flush metered
+        # The aborted flush is metered.
+        assert stats.n_queries + stats.calibration_queries == api.query_count
 
     def test_background_loop_concurrent_submits(self, relu_model, blobs3):
         api = PredictionAPI(relu_model)
         service = InterpretationService(
             api, seed=0, max_batch_size=16, max_wait_s=0.01
         )
+        trips_before = api.request_count  # after the calibration
         results: dict[int, bool] = {}
 
         def client(i: int) -> None:
@@ -496,8 +501,8 @@ class TestServiceBasics:
         assert len(results) == 12 and all(results.values())
         stats = service.stats()
         assert stats.n_requests == 12
-        assert stats.n_queries == api.query_count
-        assert stats.round_trips == api.request_count
+        assert stats.n_queries + stats.calibration_queries == api.query_count
+        assert stats.round_trips == api.request_count - trips_before
 
     def test_stop_drains_queue(self, relu_model, blobs3):
         api = PredictionAPI(relu_model)

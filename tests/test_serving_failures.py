@@ -107,7 +107,8 @@ class TestServiceBudgetExhaustion:
         d = blobs3.n_features
         x0 = blobs3.X[0]
         warm_api = PredictionAPI(relu_model)
-        warm_service = InterpretationService(warm_api, seed=0)
+        # A budgeted API keeps the paper's start edge; so does the warm-up.
+        warm_service = InterpretationService(warm_api, seed=0, initial_edge=1.0)
         warm = warm_service.interpret(x0)
         assert warm.ok
         spent = warm_api.query_count
@@ -168,7 +169,7 @@ class TestCertificateFailures:
         )
         stats = service.stats()
         assert stats.n_errors == 3
-        assert stats.n_queries == api.query_count
+        assert stats.n_queries + stats.calibration_queries == api.query_count
         assert len(service._queue) == 0
         # The cache holds nothing uncertified.
         assert len(service.cache) == 0

@@ -222,9 +222,10 @@ class TestInterpreters:
             return real(points, *args, **kwargs)
 
         monkeypatch.setattr(core_batch, "run_solve_rounds_batched", counting)
-        result = BatchOpenAPIInterpreter(seed=0).interpret_batch(
-            PredictionAPI(credit_model), X
-        )
+        # The paper's start edge, where most rounds fail.
+        result = BatchOpenAPIInterpreter(
+            seed=0, initial_edge=1.0
+        ).interpret_batch(PredictionAPI(credit_model), X)
         assert result.n_failed == 0
         # Every solve's certifying round reached the engine; most failed
         # rounds never did.
@@ -265,9 +266,9 @@ class TestInterpreters:
         sequential = OpenAPIInterpreter(seed=11)
         api = PredictionAPI(relu_model)
         seq = [sequential.interpret(api, x0) for x0 in X]
-        batch = BatchOpenAPIInterpreter(seed=11).interpret_batch(
-            PredictionAPI(relu_model), X
-        )
+        batch = BatchOpenAPIInterpreter(
+            seed=11, initial_edge=1.0
+        ).interpret_batch(PredictionAPI(relu_model), X)
         for a, b in zip(seq, batch.interpretations):
             assert a.n_queries == b.n_queries
             np.testing.assert_array_equal(a.samples, b.samples)

@@ -437,6 +437,7 @@ class TestTieredTransparency:
         service = InterpretationService(
             api, cache=store, seed=0, max_batch_size=4, max_wait_s=0.002,
         )
+        trips_before = api.request_count  # after the calibration
         results: dict[int, bool] = {}
 
         def client(i: int) -> None:
@@ -454,8 +455,8 @@ class TestTieredTransparency:
         assert len(results) == 24 and all(results.values())
         stats = service.stats()
         assert stats.n_requests == 24
-        assert stats.n_queries == api.query_count
-        assert stats.round_trips == api.request_count
+        assert stats.n_queries + stats.calibration_queries == api.query_count
+        assert stats.round_trips == api.request_count - trips_before
         assert store.stats().demotions > 0
         store.close()
 

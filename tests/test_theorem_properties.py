@@ -20,6 +20,7 @@ from repro.core import (
     verify_interpretation,
 )
 from repro.core.equations import pairwise_log_odds_targets
+from repro.exceptions import CertificateError
 from repro.models import MaxOutNetwork, ReLUNetwork, SoftmaxRegression
 from repro.models.openbox import (
     decision_features_from_weights,
@@ -68,12 +69,28 @@ def test_equation1_antisymmetry_and_zero_sum(seed):
 @given(seed=st.integers(0, 5000))
 def test_theorem2_batch_and_sequential_agree_with_truth(seed):
     """Theorem 2 end to end for both interpreter implementations, on a
-    random untrained ReLU network (worst case: irregular regions)."""
+    random untrained ReLU network (worst case: irregular regions).
+
+    Where every hidden unit is dead the log-odds are constant: a pair
+    with ``D = 0`` has no signal, and both interpreters refuse it."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(3, 6))
     net = ReLUNetwork([d, int(rng.integers(4, 8)), 3], seed=seed)
     api = PredictionAPI(net)
     x0 = rng.uniform(0, 1, size=d)
+
+    c = int(np.argmax(api.predict_proba(x0)))
+    if any(
+        not np.any(ground_truth_core_parameters(net, x0, c, other)[0])
+        for other in range(3) if other != c
+    ):
+        with pytest.raises(CertificateError):
+            OpenAPIInterpreter(seed=seed).interpret(api, x0)
+        batch = BatchOpenAPIInterpreter(seed=seed + 1).interpret_batch(
+            api, x0[None, :]
+        )
+        assert batch.interpretations == [None]
+        return
 
     sequential = OpenAPIInterpreter(seed=seed).interpret(api, x0)
     batch = BatchOpenAPIInterpreter(seed=seed + 1).interpret_batch(
