@@ -49,7 +49,7 @@ from repro.api import (
 )
 from repro.core import OpenAPIInterpreter
 from repro.core.types import Interpretation
-from repro.serving.workload import _train_bench_model
+from serving_common import train_bench_model
 
 #: Minimum physical-round-trip reduction (broker-off trips / brokered
 #: trips) at 32 concurrent interpretations.
@@ -204,7 +204,7 @@ def run_transport_benchmark(
 ) -> TransportBenchReport:
     """The three-arm comparison; see the module docstring for the gates."""
     n_features, epochs = (5, 30) if tiny else (8, 80)
-    model, X = _train_bench_model(
+    model, X = train_bench_model(
         n_features=n_features, epochs=epochs, seed=seed
     )
     instances = X[:n_callers]

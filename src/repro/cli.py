@@ -10,6 +10,8 @@ Commands
     verify the interpretation — the quickstart as a one-liner.
 ``list``
     Show available experiment ids, dataset names and scale presets.
+``check``
+    Run the fast reproduction self-check scorecard.
 ``serve``
     Run the interpretation service over a demo model: replay a skewed
     request workload (Zipf, drifting-Zipf, multi-tenant or churn)
@@ -18,17 +20,9 @@ Commands
     (``--l2-dir``/``--l2-max-bytes``/``--compact-ratio``: a rerun over
     the same directory resumes its regions) and scan-indexed
     (``--region-index``/``--index-bits``) — and print the stats endpoint.
-``bench-serve``
-    The cache-on/off serving throughput comparison
-    (``benchmarks/bench_serving_throughput.py`` as a subcommand).
-``bench-store``
-    The tiered (RAM L1 + disk L2) region store gates
-    (``benchmarks/bench_tiered_store.py`` as a subcommand).
-``bench-engine``
-    The fused batched solve engine vs the per-instance reference loop
-    (``benchmarks/bench_solve_engine.py`` as a subcommand).
 
-See ``docs/serving.md`` for the operator guide to the serving commands.
+See ``docs/serving.md`` for the operator guide to ``serve``; the
+benchmark scripts live in ``benchmarks/`` (``docs/benchmarks.md``).
 
 Examples
 --------
@@ -46,9 +40,6 @@ Examples
     python -m repro serve --l2-dir regions.l2 --max-entries 64 \
         --l2-max-bytes 1048576
     python -m repro serve --region-index --index-bits 16 --requests 400
-    python -m repro bench-serve --tiny --output BENCH_serving.json
-    python -m repro bench-store --tiny --output BENCH_tiered_store.json
-    python -m repro bench-engine --tiny
 """
 
 from __future__ import annotations
@@ -301,86 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --broker; default: 3)",
     )
 
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="serving throughput: region cache on vs off on a Zipfian "
-        "clustered workload",
-    )
-    bench_serve.add_argument("--seed", type=int, default=0)
-    bench_serve.add_argument(
-        "--requests", type=int, default=400,
-        help="workload size per arm (default: 400)",
-    )
-    bench_serve.add_argument(
-        "--clusters", type=int, default=12,
-        help="distinct anchor instances (default: 12)",
-    )
-    bench_serve.add_argument(
-        "--broker", action="store_true",
-        help="run both arms through a coalescing QueryBroker (the "
-        "report's meaning is unchanged: the broker is bitwise "
-        "transparent on the clean transport)",
-    )
-    bench_serve.add_argument(
-        "--tiny", action="store_true",
-        help="CI smoke scale: small model, 60 requests",
-    )
-    bench_serve.add_argument(
-        "--output", default=None,
-        help="also write the report to this file (JSON when the path "
-        "ends in .json, rendered text otherwise)",
-    )
-
-    bench_store = sub.add_parser(
-        "bench-store",
-        help="tiered region store: disk-backed hit retention at 10%% L1 "
-        "residency + compaction-bounded disk growth",
-    )
-    bench_store.add_argument("--seed", type=int, default=0)
-    bench_store.add_argument(
-        "--requests", type=int, default=600,
-        help="workload size per arm (default: 600)",
-    )
-    bench_store.add_argument(
-        "--anchors", type=int, default=48,
-        help="distinct anchor instances (default: 48)",
-    )
-    bench_store.add_argument(
-        "--l2-dir", default=None,
-        help="keep the L2 segment directories here (default: a "
-        "temporary directory, deleted after the run; a reused "
-        "directory is cleared at the start so each run audits only "
-        "its own solves)",
-    )
-    bench_store.add_argument(
-        "--tiny", action="store_true",
-        help="CI smoke scale: small model, 120 requests, correctness "
-        "gates only",
-    )
-    bench_store.add_argument(
-        "--output", default=None,
-        help="also write the report to this file (JSON when the path "
-        "ends in .json, rendered text otherwise)",
-    )
-
-    bench_engine = sub.add_parser(
-        "bench-engine",
-        help="solve engine throughput: fused batched solve vs the "
-        "per-instance reference loop",
-    )
-    bench_engine.add_argument("--seed", type=int, default=0)
-    bench_engine.add_argument(
-        "--repeats", type=int, default=20,
-        help="timed repetitions per configuration (default: 20)",
-    )
-    bench_engine.add_argument(
-        "--tiny", action="store_true",
-        help="CI smoke scale: small shapes, no speedup gate",
-    )
-    bench_engine.add_argument(
-        "--output", default=None,
-        help="also write the rows as a JSON artifact",
-    )
     return parser
 
 
@@ -799,86 +710,6 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
     return 0 if not errors else 1
 
 
-def _write_report(output: str, report) -> None:
-    from repro.io import write_report
-
-    write_report(output, report)
-    print(f"\nreport written to {output}")
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.serving import run_standard_benchmark
-
-    if args.requests < 1 or args.clusters < 1:
-        print("error: --requests and --clusters must be >= 1",
-              file=sys.stderr)
-        return 2
-    report, threshold = run_standard_benchmark(
-        n_requests=args.requests, n_clusters=args.clusters,
-        seed=args.seed, tiny=args.tiny, broker=args.broker,
-    )
-    print(report.as_text())
-    if args.output:
-        _write_report(args.output, report)
-    ok = report.cache_bitwise_consistent and report.speedup >= threshold
-    if not ok:
-        print(
-            f"FAIL: bitwise={report.cache_bitwise_consistent}, "
-            f"speedup {report.speedup:.1f}x vs gate {threshold:.1f}x "
-            f"(same-machine bound {report.baseline_speedup:.1f}x)",
-            file=sys.stderr,
-        )
-    return 0 if ok else 1
-
-
-def _cmd_bench_store(args: argparse.Namespace) -> int:
-    from repro.serving import run_tiered_store_benchmark, tiered_gate_failures
-
-    if args.requests < 1 or args.anchors < 1:
-        print("error: --requests and --anchors must be >= 1",
-              file=sys.stderr)
-        return 2
-    report, min_retention = run_tiered_store_benchmark(
-        n_requests=args.requests, n_anchors=args.anchors,
-        seed=args.seed, tiny=args.tiny, l2_dir=args.l2_dir,
-    )
-    print(report.as_text())
-    if args.output:
-        _write_report(args.output, report)
-    failures = tiered_gate_failures(
-        report, min_hit_retention=min_retention
-    )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _cmd_bench_engine(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core.engine import (
-        benchmark_gate_failures,
-        run_standard_engine_benchmark,
-    )
-
-    if args.repeats < 1:
-        print("error: --repeats must be >= 1", file=sys.stderr)
-        return 2
-    report, threshold = run_standard_engine_benchmark(
-        tiny=args.tiny, repeats=args.repeats, seed=args.seed
-    )
-    print(report.as_text())
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"\nJSON artifact written to {args.output}")
-    failures = benchmark_gate_failures(report, threshold)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.eval.check import run_reproduction_check
 
@@ -899,9 +730,6 @@ def main(argv: list[str] | None = None) -> int:
         "list": _cmd_list,
         "check": _cmd_check,
         "serve": _cmd_serve,
-        "bench-serve": _cmd_bench_serve,
-        "bench-store": _cmd_bench_store,
-        "bench-engine": _cmd_bench_engine,
     }
     return handlers[args.command](args)
 

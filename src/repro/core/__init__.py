@@ -23,10 +23,7 @@ from repro.core.equations import (
     PairSystemSolution,
 )
 from repro.core.engine import (
-    EngineBenchReport,
-    EngineBenchRow,
     reference_solve_all_pairs,
-    run_engine_benchmark,
     solve_pair_systems_stacked,
 )
 from repro.core.rounds import (
@@ -47,9 +44,6 @@ __all__ = [
     "build_interpretation",
     "solve_pair_systems_stacked",
     "reference_solve_all_pairs",
-    "run_engine_benchmark",
-    "EngineBenchReport",
-    "EngineBenchRow",
     "Attribution",
     "CoreParameterEstimate",
     "Interpretation",

@@ -51,8 +51,6 @@ implementation verbatim; the property suite pins the engine against it
 from __future__ import annotations
 
 import functools
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,13 +72,7 @@ __all__ = [
     "solve_stack",
     "solve_pair_systems_stacked",
     "reference_solve_all_pairs",
-    "EngineBenchRow",
-    "EngineBenchReport",
-    "run_engine_benchmark",
-    "run_standard_engine_benchmark",
     "GRAM_CONDITION_RTOL",
-    "ENGINE_ACCEPTANCE_POINT",
-    "ENGINE_SPEEDUP_THRESHOLD",
 ]
 
 #: Conditioning screen for the normal-equations fast path: a block whose
@@ -540,238 +532,3 @@ def reference_solve_all_pairs(
             c=pair[0], c_prime=pair[1], result=result, certified=certified
         )
     return solutions
-
-
-# --------------------------------------------------------------------- #
-# Engine throughput measurement (shared by bench_solve_engine.py, the
-# CLI ``bench-engine`` subcommand and the serving benchmark report).
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class EngineBenchRow:
-    """Engine vs reference-loop throughput at one ``(k, d, C)`` point."""
-
-    n_instances: int
-    n_points: int
-    d: int
-    C: int
-    engine_solves_per_s: float
-    reference_solves_per_s: float
-    speedup: float
-    max_weight_diff: float
-
-    def as_dict(self) -> dict[str, float | int]:
-        return {
-            "n_instances": self.n_instances,
-            "n_points": self.n_points,
-            "d": self.d,
-            "C": self.C,
-            "engine_solves_per_s": self.engine_solves_per_s,
-            "reference_solves_per_s": self.reference_solves_per_s,
-            "speedup": self.speedup,
-            "max_weight_diff": self.max_weight_diff,
-        }
-
-
-@dataclass(frozen=True)
-class EngineBenchReport:
-    """The grid of throughput rows plus a text rendering."""
-
-    rows: tuple[EngineBenchRow, ...]
-
-    def as_text(self) -> str:
-        lines = [
-            "solve engine throughput: fused batched solve vs reference loop",
-            "",
-            f"{'k':>5} {'n':>4} {'d':>4} {'C':>4} "
-            f"{'engine/s':>11} {'reference/s':>12} {'speedup':>8} "
-            f"{'max |dW|':>10}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.n_instances:>5} {row.n_points:>4} {row.d:>4} "
-                f"{row.C:>4} {row.engine_solves_per_s:>11.0f} "
-                f"{row.reference_solves_per_s:>12.0f} "
-                f"{row.speedup:>7.1f}x {row.max_weight_diff:>10.2e}"
-            )
-        return "\n".join(lines)
-
-    def as_dict(self) -> dict[str, list[dict[str, float | int]]]:
-        return {"rows": [row.as_dict() for row in self.rows]}
-
-
-def _bench_problem(
-    n_instances: int, n_points: int, d: int, C: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A synthetic stacked solve problem shaped like a lock-step round."""
-    rng = np.random.default_rng(seed)
-    x0s = rng.normal(size=(n_instances, d))
-    samples = x0s[:, None, :] + rng.uniform(
-        -0.5, 0.5, size=(n_instances, n_points - 1, d)
-    )
-    points = np.concatenate([x0s[:, None, :], samples], axis=1)
-    # Affine log-odds plus a pinch of noise: realistic residual scales
-    # without every certificate trivially passing.
-    W = rng.normal(size=(d, C))
-    logits = points @ W + rng.normal(scale=1e-10, size=(n_instances, n_points, C))
-    probs = np.exp(logits - logits.max(axis=2, keepdims=True))
-    probs /= probs.sum(axis=2, keepdims=True)
-    classes = rng.integers(0, C, size=n_instances)
-    return points, probs, classes, x0s
-
-
-def run_engine_benchmark(
-    configs: list[tuple[int, int, int]] | None = None,
-    *,
-    repeats: int = 20,
-    seed: int = 0,
-) -> EngineBenchReport:
-    """Time the batched engine against the reference loop over a grid.
-
-    Parameters
-    ----------
-    configs:
-        ``(n_instances, d, C)`` grid points; defaults to a sweep around
-        the acceptance point ``(64, 16, 10)``.  ``n_points`` is the
-        Algorithm-1 shape ``d + 2`` throughout.
-    repeats:
-        Timed repetitions per configuration (best-of is reported to shed
-        scheduler noise).
-    seed:
-        Synthetic problem seed.
-
-    Returns
-    -------
-    An :class:`EngineBenchReport` with one :class:`EngineBenchRow` per
-    configuration (throughputs, speedup, and the engine-vs-reference
-    max weight difference re-checked on the timed problems).
-    """
-    if configs is None:
-        configs = [(16, 8, 3), (64, 16, 10), (256, 16, 10), (64, 32, 5)]
-    rows = []
-    for n_instances, d, C in configs:
-        n_points = d + 2
-        points, probs, classes, centers = _bench_problem(
-            n_instances, n_points, d, C, seed
-        )
-
-        def engine_pass():
-            return solve_pair_systems_stacked(
-                points, probs, classes, centers=centers
-            )
-
-        def reference_pass():
-            return [
-                reference_solve_all_pairs(
-                    points[b], probs[b], int(classes[b]), center=centers[b]
-                )
-                for b in range(n_instances)
-            ]
-
-        engine_out = engine_pass()          # warm-up + correctness probe
-        reference_out = reference_pass()
-        max_diff = 0.0
-        for eng, ref in zip(engine_out, reference_out):
-            for pair, sol in ref.items():
-                diff = np.abs(
-                    eng[pair].result.weights - sol.result.weights
-                ).max()
-                max_diff = max(max_diff, float(diff))
-
-        def best_time(fn):
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()  # timing-ok: benchmark meter; timings never enter results
-                fn()
-                best = min(best, time.perf_counter() - t0)  # timing-ok: benchmark meter; timings never enter results
-            return best
-
-        t_engine = best_time(engine_pass)
-        t_reference = best_time(reference_pass)
-        rows.append(
-            EngineBenchRow(
-                n_instances=n_instances,
-                n_points=n_points,
-                d=d,
-                C=C,
-                engine_solves_per_s=n_instances / t_engine,
-                reference_solves_per_s=n_instances / t_reference,
-                speedup=t_reference / t_engine,
-                max_weight_diff=max_diff,
-            )
-        )
-    return EngineBenchReport(rows=tuple(rows))
-
-
-#: The acceptance configuration ``(n_instances, d, C)`` the engine is
-#: gated on: the batched path must beat the reference loop by at least
-#: :data:`ENGINE_SPEEDUP_THRESHOLD` here.
-ENGINE_ACCEPTANCE_POINT: tuple[int, int, int] = (64, 16, 10)
-
-#: Required engine-vs-reference speedup at the acceptance point.
-ENGINE_SPEEDUP_THRESHOLD: float = 3.0
-
-#: CI smoke grid: small shapes, correctness-gated only.
-_TINY_BENCH_CONFIGS: list[tuple[int, int, int]] = [(8, 5, 3), (16, 8, 3)]
-
-
-def run_standard_engine_benchmark(
-    *, tiny: bool = False, repeats: int = 20, seed: int = 0
-) -> tuple[EngineBenchReport, float]:
-    """The canonical engine benchmark, shared by the CLI ``bench-engine``
-    subcommand and ``benchmarks/bench_solve_engine.py``.
-
-    Returns
-    -------
-    (report, speedup_threshold):
-        The grid report plus the gate the caller should enforce at
-        :data:`ENGINE_ACCEPTANCE_POINT` (0.0 for ``tiny``, where only the
-        engine-vs-reference numerical agreement is meaningful).
-    """
-    if tiny:
-        report = run_engine_benchmark(
-            _TINY_BENCH_CONFIGS, repeats=min(repeats, 5), seed=seed
-        )
-        return report, 0.0
-    report = run_engine_benchmark(repeats=repeats, seed=seed)
-    return report, ENGINE_SPEEDUP_THRESHOLD
-
-
-def acceptance_speedup(report: EngineBenchReport) -> float:
-    """The measured speedup at :data:`ENGINE_ACCEPTANCE_POINT` (``inf``
-    when the report does not contain that configuration, e.g. ``tiny``)."""
-    for row in report.rows:
-        if (row.n_instances, row.d, row.C) == ENGINE_ACCEPTANCE_POINT:
-            return row.speedup
-    return float("inf")
-
-
-#: Engine-vs-reference weights must agree to solver rounding error at
-#: every grid point (the property suite pins this per pair; the bench
-#: re-checks it on the timed problems, ``tiny`` included).
-MAX_ENGINE_WEIGHT_DIFF: float = 1e-6
-
-
-def benchmark_gate_failures(
-    report: EngineBenchReport, threshold: float
-) -> list[str]:
-    """Every reason ``report`` fails its gates (empty list = pass).
-
-    The single gate definition shared by ``benchmarks/bench_solve_engine.py``
-    and the CLI ``bench-engine`` subcommand: weight agreement with the
-    reference at every row (enforced at ``tiny`` scale too), plus the
-    ``threshold`` speedup at :data:`ENGINE_ACCEPTANCE_POINT`.
-    """
-    failures = []
-    worst_diff = max(row.max_weight_diff for row in report.rows)
-    if worst_diff > MAX_ENGINE_WEIGHT_DIFF:
-        failures.append(
-            f"engine weights diverge from reference by {worst_diff:.2e} "
-            f"(gate {MAX_ENGINE_WEIGHT_DIFF:.0e})"
-        )
-    measured = acceptance_speedup(report)
-    if measured < threshold:
-        failures.append(
-            f"engine speedup {measured:.1f}x below {threshold:.0f}x at "
-            "the acceptance point"
-        )
-    return failures

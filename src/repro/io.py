@@ -34,25 +34,8 @@ __all__ = [
     "load_model",
     "save_interpretation",
     "load_interpretation",
-    "write_report",
 ]
 
-
-def write_report(path: str | os.PathLike, report) -> None:
-    """Write a benchmark report to ``path`` in a path-driven format.
-
-    ``.json`` paths receive ``report.as_dict()`` as indented JSON (the
-    CI artifact format); every other path receives ``report.as_text()``
-    plus a trailing newline.  Shared by the CLI benchmark subcommands
-    and the standalone scripts under ``benchmarks/`` so the two can
-    never emit diverging artifacts for the same report.
-    """
-    with open(path, "w") as handle:
-        if str(path).endswith(".json"):
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
-        else:
-            handle.write(report.as_text() + "\n")
 
 _FORMAT_VERSION = 1
 

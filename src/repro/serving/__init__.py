@@ -29,7 +29,8 @@ package converts that guarantee into serving machinery:
   directory, which the gateway's single writer appends to and
   publishes (epoch-bumped atomic index renames);
 * :mod:`repro.serving.workload` — skewed workload generation (Zipf,
-  drifting Zipf, multi-tenant, churn) and the serving benchmarks.
+  drifting Zipf, multi-tenant, churn) for ``repro serve`` and the
+  serving benchmarks in ``benchmarks/``.
 
 See ``docs/architecture.md`` for the end-to-end data flow and
 ``docs/serving.md`` for the operator guide.
@@ -67,32 +68,9 @@ from repro.serving.store import (
     signature_of,
 )
 from repro.serving.workload import (
-    DEFAULT_SPEEDUP_THRESHOLD,
-    GATEWAY_SPEEDUP_THRESHOLD,
-    INDEX_GROWTH_RATIO_THRESHOLD,
-    INDEX_SPEEDUP_THRESHOLD,
-    MIN_SPEEDUP_FLOOR,
-    SPEEDUP_RETENTION,
-    TIERED_HIT_RETENTION_THRESHOLD,
-    TIERED_L1_RESIDENT_FRACTION,
-    GatewayBenchArm,
-    GatewayBenchReport,
-    IndexScalingRow,
-    RegionIndexReport,
-    ThroughputArm,
-    ThroughputReport,
-    TieredStoreReport,
     churn_workload,
     drifting_zipf_workload,
-    gateway_gate_failures,
-    run_gateway_benchmark,
     multi_tenant_workload,
-    region_index_gate_failures,
-    run_region_index_benchmark,
-    run_standard_benchmark,
-    run_throughput_benchmark,
-    run_tiered_store_benchmark,
-    tiered_gate_failures,
     zipf_clustered_workload,
 )
 
@@ -110,41 +88,18 @@ __all__ = [
     "GatewayClient",
     "GatewayStats",
     "replay_workload",
-    "GatewayBenchArm",
-    "GatewayBenchReport",
-    "run_gateway_benchmark",
-    "gateway_gate_failures",
-    "GATEWAY_SPEEDUP_THRESHOLD",
     "region_signature",
     "signature_of",
     "ServiceMetrics",
     "ServiceStats",
     "InterpretationService",
     "PendingResponse",
-    "ThroughputArm",
-    "ThroughputReport",
-    "run_throughput_benchmark",
-    "run_standard_benchmark",
-    "run_tiered_store_benchmark",
-    "tiered_gate_failures",
-    "TieredStoreReport",
-    "DEFAULT_SPEEDUP_THRESHOLD",
-    "SPEEDUP_RETENTION",
-    "MIN_SPEEDUP_FLOOR",
-    "TIERED_L1_RESIDENT_FRACTION",
-    "TIERED_HIT_RETENTION_THRESHOLD",
     "RegionSignIndex",
     "hyperplane_bank",
     "INDEX_SEED",
     "DEFAULT_INDEX_BITS",
     "DEFAULT_INDEX_SHORTLIST",
     "MAX_INDEX_BITS",
-    "IndexScalingRow",
-    "RegionIndexReport",
-    "run_region_index_benchmark",
-    "region_index_gate_failures",
-    "INDEX_SPEEDUP_THRESHOLD",
-    "INDEX_GROWTH_RATIO_THRESHOLD",
     "zipf_clustered_workload",
     "drifting_zipf_workload",
     "multi_tenant_workload",

@@ -50,7 +50,8 @@ loss: a respawned worker answers exactly like its predecessor, and a
 request failed over mid-drain re-solves to the same bytes elsewhere.
 The property is pinned across real process boundaries by
 ``tests/test_gateway.py`` and ``tests/test_gateway_chaos.py``, and
-gated by ``benchmarks/bench_gateway.py``.
+gated end to end by perfbench's ``hits_fleet`` and ``solves_fleet``
+workloads.
 
 A worker crash (even ``SIGKILL`` mid-request) is absorbed: the gateway
 marks the connection dead, retries the request on the remaining

@@ -1,57 +1,28 @@
-"""Serving workloads and the serving-tier benchmark runners.
+"""Skewed serving workloads.
 
 Real interpretation traffic is skewed: a fraud-review queue re-examines
 the same few customer profiles, a credit-decisioning UI re-renders the
 same application while an analyst tweaks inputs.  Region reuse is
-precisely the exploitation of that skew, so the benchmarks drive the
-service with skewed workloads:
+precisely the exploitation of that skew, so ``repro serve`` and the
+serving benchmarks in ``benchmarks/`` drive the service with skewed
+workloads:
 
 * :func:`zipf_clustered_workload` — static Zipf popularity over ``k``
-  anchor instances (the PR 1 baseline workload);
+  anchor instances;
 * :func:`drifting_zipf_workload` — the popularity *ranking* rotates over
-  time, the regime where bounded LRU caches must track a moving hot set
-  (the eviction benchmark's workload);
+  time, the regime where bounded LRU caches must track a moving hot set;
 * :func:`multi_tenant_workload` — several tenants, each with its own
   anchor pool and its own skew, interleaved;
 * :func:`churn_workload` — a sliding window of active anchors with
   newest-is-hottest popularity, so regions *retire* and the cache must
   turn its inventory over.
-
-The benchmark runners share these workloads:
-
-* :func:`run_throughput_benchmark` / :func:`run_standard_benchmark` —
-  the PR 1 cache-on/off comparison (CLI ``bench-serve``);
-* :func:`run_tiered_store_benchmark` — the tiered store's hit retention
-  and bounded disk growth (CLI ``bench-store``);
-* :func:`run_region_index_benchmark` and :func:`run_gateway_benchmark`
-  — the sign-index scaling and multi-process fleet gates.
-
-Every arm replay audits exactness: cache-served answers must be bitwise
-one of the fresh certified solves of the run, and every answer must
-match the OpenBox ground truth.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-import threading
-import time
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable
-
 import numpy as np
 
-from repro.api.service import PredictionAPI
-from repro.api.transport import DirectTransport, QueryBroker
-from repro.core.engine import EngineBenchRow, run_engine_benchmark
 from repro.exceptions import ValidationError
-from repro.models.base import PiecewiseLinearModel
-from repro.models.openbox import ground_truth_decision_features
-from repro.serving.cache import RegionCache
-from repro.serving.service import InterpretationService
-from repro.serving.store import TieredRegionStore
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
@@ -59,59 +30,7 @@ __all__ = [
     "drifting_zipf_workload",
     "multi_tenant_workload",
     "churn_workload",
-    "ThroughputArm",
-    "ThroughputReport",
-    "run_throughput_benchmark",
-    "run_standard_benchmark",
-    "DEFAULT_SPEEDUP_THRESHOLD",
-    "SPEEDUP_RETENTION",
-    "MIN_SPEEDUP_FLOOR",
-    "TieredStoreReport",
-    "run_tiered_store_benchmark",
-    "tiered_gate_failures",
-    "TIERED_L1_RESIDENT_FRACTION",
-    "TIERED_HIT_RETENTION_THRESHOLD",
-    "IndexScalingRow",
-    "RegionIndexReport",
-    "run_region_index_benchmark",
-    "region_index_gate_failures",
-    "INDEX_SPEEDUP_THRESHOLD",
-    "INDEX_GROWTH_RATIO_THRESHOLD",
-    "GatewayBenchArm",
-    "GatewayBenchReport",
-    "run_gateway_benchmark",
-    "gateway_gate_failures",
-    "GATEWAY_SPEEDUP_THRESHOLD",
 ]
-
-#: Cap on the speedup gate at default scale.  The *effective* gate is
-#: machine-relative — ``SPEEDUP_RETENTION`` of the speedup bound measured
-#: inside the same run (see :func:`run_throughput_benchmark`), capped
-#: here and floored at :data:`MIN_SPEEDUP_FLOOR` — because an absolute
-#: constant silently encodes one machine's solve/probe cost ratio (this
-#: container measures ~3.6–3.8x where the original gate demanded 5x).
-#: The ``--tiny`` CI smoke only gates correctness (bitwise consistency),
-#: not throughput.
-DEFAULT_SPEEDUP_THRESHOLD: float = 5.0
-
-#: Fraction of the same-machine speedup bound the measured speedup must
-#: retain at full scale.
-SPEEDUP_RETENTION: float = 0.5
-
-#: The speedup gate never drops below this, however slow the machine —
-#: a cache that cannot double throughput on a Zipfian workload is broken
-#: regardless of hardware.
-MIN_SPEEDUP_FLOOR: float = 1.5
-
-#: L1 (RAM) resident-entry budget of the tiered-store arm, as a fraction
-#: of the all-in-RAM arm's final inventory — deliberately small, because
-#: the disk tier is supposed to absorb the difference.
-TIERED_L1_RESIDENT_FRACTION: float = 0.10
-
-#: Tiered-store gate: at 10% L1 residency the tiered arm must retain at
-#: least this fraction of the all-in-RAM hit rate (hits served from
-#: *either* tier — no re-solves) on the drifting-Zipf workload.
-TIERED_HIT_RETENTION_THRESHOLD: float = 0.8
 
 
 def _validate_workload_args(
@@ -198,8 +117,8 @@ def drifting_zipf_workload(
     every ``drift_interval`` requests: yesterday's hottest profile cools
     down, a previously cold one heats up.  This is the regime where a
     bounded LRU cache has to *track* the hot set rather than memorize
-    it — the workload :func:`run_tiered_store_benchmark` gates
-    demotion and promotion on.
+    it — the workload the tiered-store benchmark gates demotion and
+    promotion on.
 
     Parameters
     ----------
@@ -366,1640 +285,3 @@ def churn_workload(
     if jitter > 0:
         requests = requests + rng.normal(0.0, jitter, size=requests.shape)
     return requests
-
-
-@dataclass(frozen=True)
-class ThroughputArm:
-    """One replayed arm of a serving benchmark."""
-
-    label: str
-    n_requests: int
-    n_ok: int
-    elapsed_s: float
-    interpretations_per_s: float
-    n_queries: int
-    round_trips: int
-    hit_rate: float
-    hit_trajectory: tuple[float, ...]
-    max_gt_l1_error: float
-
-    def as_dict(self) -> dict:
-        """JSON-safe rendering (key set pinned by the schema test)."""
-        return {
-            "label": self.label,
-            "n_requests": self.n_requests,
-            "n_ok": self.n_ok,
-            "elapsed_s": self.elapsed_s,
-            "interpretations_per_s": self.interpretations_per_s,
-            "n_queries": self.n_queries,
-            "round_trips": self.round_trips,
-            "hit_rate": self.hit_rate,
-            "hit_trajectory": list(self.hit_trajectory),
-            "max_gt_l1_error": self.max_gt_l1_error,
-        }
-
-
-@dataclass(frozen=True)
-class ThroughputReport:
-    """The two arms plus the derived speedup and the exactness audit.
-
-    ``engine_row`` surfaces the solve-engine throughput at the workload's
-    shape (one lock-step micro-batch worth of instances), so the serving
-    bench tracks the fused batched solver alongside end-to-end serving
-    numbers; see :func:`repro.core.engine.run_engine_benchmark`.
-    """
-
-    cached: ThroughputArm
-    uncached: ThroughputArm
-    speedup: float
-    query_reduction: float
-    cache_bitwise_consistent: bool
-    engine_row: "EngineBenchRow | None" = None
-    #: Same-machine speedup bound measured inside the run: with per-hit
-    #: cost ``t_hit`` (timed on the warm cached service), per-solve cost
-    #: ``t_solve`` (the uncached arm's per-request cost) and hit rate
-    #: ``h``, the best a cache could do here is
-    #: ``rho / ((1 - h) rho + h)`` for ``rho = t_solve / t_hit``.  The
-    #: full-scale gate is :data:`SPEEDUP_RETENTION` of this bound
-    #: (capped by :data:`DEFAULT_SPEEDUP_THRESHOLD`, floored at
-    #: :data:`MIN_SPEEDUP_FLOOR`), so it tracks the machine it runs on.
-    baseline_speedup: float = float("nan")
-
-    def as_text(self) -> str:
-        lines = [
-            "serving throughput: region cache on vs off "
-            "(Zipfian clustered workload)",
-            "",
-            _arm_header(),
-        ]
-        for arm in (self.cached, self.uncached):
-            lines.append(_arm_row(arm))
-        trajectory = "  ".join(
-            f"{100 * r:.0f}%" for r in self.cached.hit_trajectory
-        )
-        bound = (
-            f"{self.baseline_speedup:.1f}x"
-            if np.isfinite(self.baseline_speedup)
-            else "n/a"
-        )
-        lines += [
-            "",
-            f"speedup (interp/s, cached / uncached): {self.speedup:.1f}x",
-            f"same-machine speedup bound:            {bound}",
-            f"query reduction (uncached / cached):   {self.query_reduction:.1f}x",
-            f"cache-hit trajectory (per decile):     {trajectory}",
-            f"cache-served bitwise == region solve:  "
-            f"{self.cache_bitwise_consistent}",
-        ]
-        if self.engine_row is not None:
-            row = self.engine_row
-            lines.append(
-                f"solve engine (k={row.n_instances}, d={row.d}, "
-                f"C={row.C}):       {row.engine_solves_per_s:.0f} solves/s "
-                f"({row.speedup:.1f}x vs reference loop)"
-            )
-        return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        """JSON-safe rendering (the ``bench-serve --output *.json``
-        artifact; key set pinned by the schema test)."""
-        return {
-            "cached": self.cached.as_dict(),
-            "uncached": self.uncached.as_dict(),
-            "speedup": self.speedup,
-            "query_reduction": self.query_reduction,
-            "cache_bitwise_consistent": self.cache_bitwise_consistent,
-            "baseline_speedup": (
-                float(self.baseline_speedup)
-                if np.isfinite(self.baseline_speedup)
-                else None
-            ),
-            "engine": (
-                self.engine_row.as_dict() if self.engine_row else None
-            ),
-        }
-
-
-def _arm_header() -> str:
-    return (
-        f"{'arm':<12} {'req':>5} {'ok':>5} {'sec':>8} "
-        f"{'interp/s':>10} {'queries':>9} {'trips':>7} {'hit%':>6} "
-        f"{'max GT err':>11}"
-    )
-
-
-def _arm_row(arm: ThroughputArm) -> str:
-    hit = f"{100 * arm.hit_rate:.1f}" if np.isfinite(arm.hit_rate) else "-"
-    return (
-        f"{arm.label:<12} {arm.n_requests:>5} {arm.n_ok:>5} "
-        f"{arm.elapsed_s:>8.3f} {arm.interpretations_per_s:>10.1f} "
-        f"{arm.n_queries:>9} {arm.round_trips:>7} {hit:>6} "
-        f"{arm.max_gt_l1_error:>11.2e}"
-    )
-
-
-def _run_arm(
-    model: PiecewiseLinearModel,
-    requests: np.ndarray,
-    *,
-    label: str,
-    service_factory: Callable[[PredictionAPI], InterpretationService],
-    n_checkpoints: int = 10,
-) -> tuple[ThroughputArm, bool, InterpretationService]:
-    """Replay the workload through one service; audit every answer.
-
-    The bitwise audit is two-pass: collect every fresh certified solve,
-    then require each cache-served answer to be bitwise one of them.
-    """
-    api = PredictionAPI(model)
-    service = service_factory(api)
-    n = requests.shape[0]
-    checkpoints = np.linspace(n / n_checkpoints, n, n_checkpoints).astype(int)
-    trajectory: list[float] = []
-    responses = []
-    served = 0
-    start = time.perf_counter()
-    for bound in checkpoints:
-        chunk = requests[served:bound]
-        if chunk.shape[0]:
-            responses.extend(service.interpret_many(chunk))
-        served = int(bound)
-        stats = service.stats()
-        trajectory.append(
-            stats.cache_hits / stats.n_requests if stats.n_requests else 0.0
-        )
-    elapsed = time.perf_counter() - start
-
-    # Exactness audit — every served answer against the OpenBox ground
-    # truth, and cache hits bitwise against the solve that seeded them.
-    max_err = 0.0
-    region_solves = {
-        r.interpretation.decision_features.tobytes()
-        for r in responses
-        if r.ok and not r.served_from_cache
-    }
-    bitwise_ok = True
-    for x0, response in zip(requests, responses):
-        if not response.ok:
-            continue
-        interp = response.interpretation
-        gt = ground_truth_decision_features(model, x0, interp.target_class)
-        max_err = max(max_err, float(np.abs(interp.decision_features - gt).max()))
-        if response.served_from_cache:
-            bitwise_ok = (
-                bitwise_ok
-                and interp.decision_features.tobytes() in region_solves
-            )
-
-    stats = service.stats()
-    arm = ThroughputArm(
-        label=label,
-        n_requests=n,
-        n_ok=stats.n_ok,
-        elapsed_s=elapsed,
-        interpretations_per_s=stats.n_ok / elapsed if elapsed > 0 else float("inf"),
-        n_queries=stats.n_queries,
-        round_trips=stats.round_trips,
-        hit_rate=stats.hit_rate,
-        hit_trajectory=tuple(trajectory),
-        max_gt_l1_error=max_err,
-    )
-    return arm, bitwise_ok, service
-
-
-def _measure_hit_cost_s(
-    service: InterpretationService,
-    x0: np.ndarray,
-    *,
-    batch_size: int = 32,
-    repeats: int = 8,
-) -> float:
-    """Amortized per-request cost of a cache hit on the (warm) service.
-
-    One warm-up call guarantees the region is resident, then ``repeats``
-    timed micro-batches of ``batch_size`` duplicate requests measure the
-    per-request probe-and-serve cost *with the same flush amortization
-    the replayed workload enjoys* — timing single-request flushes would
-    overstate ``t_hit`` by the per-flush overhead the replay amortizes
-    ~``batch_size``-way, and silently deflate the speedup bound the gate
-    is scaled by.
-    """
-    service.interpret(x0)
-    batch = np.tile(np.asarray(x0), (batch_size, 1))
-    start = time.perf_counter()
-    for _ in range(repeats):
-        service.interpret_many(batch)
-    return (time.perf_counter() - start) / (repeats * batch_size)
-
-
-def run_throughput_benchmark(
-    model: PiecewiseLinearModel,
-    anchors: np.ndarray,
-    *,
-    n_requests: int = 400,
-    exponent: float = 1.1,
-    jitter: float = 0.0,
-    seed: SeedLike = 0,
-    max_batch_size: int = 32,
-    broker: bool = False,
-) -> ThroughputReport:
-    """Replay one Zipfian workload with the region cache on and off.
-
-    Both arms see the identical request stream and an identically seeded
-    interpreter; only ``enable_cache`` differs.  With ``broker=True``
-    each arm's service queries through a coalescing
-    :class:`~repro.api.QueryBroker` over a clean transport — the broker
-    is bitwise transparent, so every report invariant (and the bitwise
-    audit) must hold unchanged.
-
-    The report also carries ``baseline_speedup``: after the replay
-    the hottest anchor's hit cost is timed on the warm cached service and
-    combined with the uncached arm's per-request solve cost and the
-    measured hit rate into the best speedup *this machine* could exhibit
-    (hits at probe cost, misses at solve cost) — the same-machine
-    baseline the full-scale gate is derived from.
-    """
-    requests = zipf_clustered_workload(
-        anchors, n_requests, exponent=exponent, jitter=jitter, seed=seed
-    )
-
-    def _make_service(api: PredictionAPI, enable_cache: bool):
-        return InterpretationService(
-            api,
-            cache=RegionCache(max_entries=4096) if enable_cache else None,
-            enable_cache=enable_cache,
-            max_batch_size=max_batch_size,
-            broker=(
-                QueryBroker(DirectTransport(api)) if broker else None
-            ),
-            seed=seed,
-        )
-
-    cached, bitwise_ok, cached_service = _run_arm(
-        model, requests, label="cached",
-        service_factory=lambda api: _make_service(api, True),
-    )
-    uncached, _, _ = _run_arm(
-        model, requests, label="uncached",
-        service_factory=lambda api: _make_service(api, False),
-    )
-    speedup = (
-        cached.interpretations_per_s / uncached.interpretations_per_s
-        if uncached.interpretations_per_s > 0
-        else float("inf")
-    )
-    query_reduction = (
-        uncached.n_queries / cached.n_queries
-        if cached.n_queries > 0
-        else float("inf")
-    )
-    # Same-machine speedup bound: solve cost from the uncached arm, hit
-    # cost timed directly on the warm cached service (anchors[0] is the
-    # Zipf rank-1 instance, so its region is certainly resident).
-    t_solve = uncached.elapsed_s / n_requests
-    t_hit = _measure_hit_cost_s(
-        cached_service, anchors[0], batch_size=max_batch_size
-    )
-    h = cached.hit_rate
-    if t_hit > 0 and t_solve > 0 and np.isfinite(h):
-        rho = t_solve / t_hit
-        baseline_bound = rho / ((1.0 - h) * rho + h)
-    else:
-        baseline_bound = float("nan")
-    # Engine throughput at this workload's shape: one micro-batch worth of
-    # instances over the model's (d, C) geometry.
-    engine_row = run_engine_benchmark(
-        [(max_batch_size, anchors.shape[1], model.n_classes)],
-        repeats=5,
-    ).rows[0]
-    return ThroughputReport(
-        cached=cached,
-        uncached=uncached,
-        speedup=speedup,
-        query_reduction=query_reduction,
-        cache_bitwise_consistent=bitwise_ok,
-        engine_row=engine_row,
-        baseline_speedup=baseline_bound,
-    )
-
-
-def _train_bench_model(
-    *, n_features: int, epochs: int, seed: int
-) -> tuple[PiecewiseLinearModel, np.ndarray]:
-    """The workload PLNN shared by both benchmark runners."""
-    from repro.data import make_blobs
-    from repro.models import ReLUNetwork, TrainingConfig, train_network
-
-    ds = make_blobs(
-        400, n_features=n_features, n_classes=3, separation=4.0, seed=seed
-    )
-    model = ReLUNetwork([n_features, 16, 8, 3], seed=seed)
-    train_network(
-        model, ds.X, ds.y,
-        TrainingConfig(epochs=epochs, learning_rate=3e-3, seed=seed),
-    )
-    return model, ds.X
-
-
-def run_standard_benchmark(
-    *,
-    n_requests: int = 400,
-    n_clusters: int = 12,
-    seed: int = 0,
-    tiny: bool = False,
-    broker: bool = False,
-) -> tuple[ThroughputReport, float]:
-    """The canonical serving benchmark: train the workload PLNN and run
-    the cache-on/off comparison at the standard (or ``tiny`` CI-smoke)
-    scale.
-
-    This is the single source of truth shared by the CLI ``bench-serve``
-    subcommand and ``benchmarks/bench_serving_throughput.py``, so scale
-    constants and the acceptance gate cannot drift apart.
-
-    Returns
-    -------
-    (report, speedup_threshold):
-        The comparison plus the gate the caller should enforce.  At
-        standard scale the gate is **machine-relative**:
-        :data:`SPEEDUP_RETENTION` of the same-machine speedup bound
-        measured inside this very run
-        (``report.baseline_speedup``), floored at
-        :data:`MIN_SPEEDUP_FLOOR` and capped at
-        :data:`DEFAULT_SPEEDUP_THRESHOLD` — an absolute constant would
-        encode one machine's solve/probe cost ratio and flap elsewhere.
-        ``tiny`` gates correctness only (threshold 1.0).
-
-        Known limitation: the bound is derived from the *same* in-run
-        hit cost the measured speedup depends on, so the gate verifies
-        the service realizes ``SPEEDUP_RETENTION`` of what its current
-        hit path permits — a uniform slowdown of the hit path lowers
-        the bound with it and is only caught once the
-        :data:`MIN_SPEEDUP_FLOOR` backstop trips.  Guarding absolute
-        hit-path cost across commits needs a persisted per-machine
-        reference, which a stateless CI run cannot carry.
-    """
-    if tiny:
-        n_requests, n_clusters = 60, min(n_clusters, 8)
-        n_features, epochs = 5, 40
-    else:
-        n_features, epochs = 8, 80
-    model, X = _train_bench_model(
-        n_features=n_features, epochs=epochs, seed=seed
-    )
-    report = run_throughput_benchmark(
-        model, X[:n_clusters], n_requests=n_requests, seed=seed,
-        broker=broker,
-    )
-    if tiny:
-        threshold = 1.0
-    elif np.isfinite(report.baseline_speedup):
-        threshold = min(
-            DEFAULT_SPEEDUP_THRESHOLD,
-            max(MIN_SPEEDUP_FLOOR,
-                SPEEDUP_RETENTION * report.baseline_speedup),
-        )
-    else:
-        threshold = MIN_SPEEDUP_FLOOR
-    return report, threshold
-
-
-# --------------------------------------------------------------------- #
-# Tiered (RAM L1 + disk L2) store benchmark
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class TieredStoreReport:
-    """The tiered-store comparison plus the churn/compaction audit.
-
-    ``all_ram`` and ``tiered`` replay the identical drifting-Zipf
-    stream; the tiered arm's L1 holds only
-    :data:`TIERED_L1_RESIDENT_FRACTION` of the all-RAM arm's final
-    inventory, with every L1 eviction demoted to the mmap'd disk tier.
-    ``hit_retention`` is the ratio of service-level hit rates (a "hit"
-    is any response served without a fresh solve — from either tier).
-    The churn arm replays a region-turnover stream against a
-    deliberately tiny L2 byte budget and records the maximum total
-    segment bytes ever resident, proving compaction bounds disk growth.
-    """
-
-    all_ram: ThroughputArm
-    tiered: ThroughputArm
-    all_ram_service: dict
-    tiered_service: dict
-    store: dict
-    l1_max_entries: int
-    l1_resident_fraction: float
-    hit_retention: float
-    bitwise_consistent: bool
-    churn_requests: int
-    churn_l2_max_bytes: int
-    churn_compactions: int
-    churn_max_total_bytes: int
-    churn_bytes_bound: int
-    churn_bounded: bool
-    churn_store: dict
-
-    def as_text(self) -> str:
-        store = self.store
-        lines = [
-            "tiered region store: RAM L1 + mmap disk L2 vs all-in-RAM "
-            "(drifting-Zipf workload)",
-            "",
-            _arm_header(),
-            _arm_row(self.all_ram),
-            _arm_row(self.tiered),
-            "",
-            f"tiered L1 bound:     {self.l1_max_entries} entries "
-            f"({100 * self.l1_resident_fraction:.0f}% of all-RAM "
-            "resident)",
-            f"tier traffic:        {store['l1_hits']} L1 hits, "
-            f"{store['l2_hits']} L2 hits (promoted), "
-            f"{store['l2_misses']} misses, {store['demotions']} demotions",
-            f"L2 inventory:        {store['l2_entries']} live records, "
-            f"{store['l2_live_bytes']} live bytes / "
-            f"{store['l2_total_bytes']} total, "
-            f"{store['l2_segments']} segment(s), "
-            f"{store['l2_compactions']} compaction(s)",
-            f"hit retention (tiered / all-RAM):         "
-            f"{self.hit_retention:.3f}",
-            f"cache-served bitwise == region solve:     "
-            f"{self.bitwise_consistent}",
-            f"churn arm: {self.churn_requests} requests at "
-            f"{self.churn_l2_max_bytes} L2 budget bytes -> "
-            f"{self.churn_compactions} compaction(s), max "
-            f"{self.churn_max_total_bytes} segment bytes "
-            f"(bound {self.churn_bytes_bound}, "
-            f"bounded={self.churn_bounded})",
-        ]
-        return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        """JSON-safe rendering (the ``BENCH_tiered_store.json`` CI
-        artifact; key set pinned by the schema test)."""
-        return {
-            "all_ram": self.all_ram.as_dict(),
-            "tiered": self.tiered.as_dict(),
-            "all_ram_service": self.all_ram_service,
-            "tiered_service": self.tiered_service,
-            "store": self.store,
-            "l1_max_entries": self.l1_max_entries,
-            "l1_resident_fraction": self.l1_resident_fraction,
-            "hit_retention": self.hit_retention,
-            "bitwise_consistent": self.bitwise_consistent,
-            "churn_requests": self.churn_requests,
-            "churn_l2_max_bytes": self.churn_l2_max_bytes,
-            "churn_compactions": self.churn_compactions,
-            "churn_max_total_bytes": self.churn_max_total_bytes,
-            "churn_bytes_bound": self.churn_bytes_bound,
-            "churn_bounded": self.churn_bounded,
-            "churn_store": self.churn_store,
-        }
-
-
-def _record_frame_bytes(d: int, n_classes: int) -> int:
-    """Analytic size of one L2 record frame at (d, C) model geometry:
-    the 20-byte frame header plus the packed payload of ``P = C - 1``
-    pairs (see :func:`repro.serving.store._pack_payload`)."""
-    P = n_classes - 1
-    return 20 + 24 + 16 * P + 8 * (P * d + P + 2 * d + 1)
-
-
-def run_tiered_store_benchmark(
-    *,
-    n_requests: int = 600,
-    n_anchors: int = 48,
-    exponent: float = 2.2,
-    seed: int = 0,
-    tiny: bool = False,
-    l2_dir: str | None = None,
-) -> tuple[TieredStoreReport, float]:
-    """The tiered-store benchmark (single source of truth for CLI
-    ``bench-store`` and ``benchmarks/bench_tiered_store.py``).
-
-    Replays one drifting-Zipf stream through (a) an all-in-RAM
-    service with an unbounded cache and (b) the same service over a
-    :class:`~repro.serving.store.TieredRegionStore` whose L1 holds only
-    :data:`TIERED_L1_RESIDENT_FRACTION` of the all-RAM arm's final
-    inventory — evictions demote to disk, disk hits promote back.  A
-    separate churn arm replays a region-turnover stream against a tiny
-    L2 byte budget, sampling total segment bytes after every chunk, to
-    prove dead-marking + compaction bound disk growth.
-
-    Returns
-    -------
-    (report, min_hit_retention):
-        The report plus the retention gate the caller should enforce
-        (:data:`TIERED_HIT_RETENTION_THRESHOLD` at standard scale;
-        ``tiny`` gates correctness — bitwise transparency and bounded
-        churn growth — only).
-    """
-    if tiny:
-        n_requests = min(n_requests, 120)
-        n_anchors = min(n_anchors, 16)
-        n_features, epochs = 5, 40
-        min_hit_retention = 0.0
-    else:
-        n_features, epochs = 8, 80
-        min_hit_retention = TIERED_HIT_RETENTION_THRESHOLD
-    model, X = _train_bench_model(
-        n_features=n_features, epochs=epochs, seed=seed
-    )
-    anchors = X[:n_anchors]
-    requests = drifting_zipf_workload(
-        anchors, n_requests, exponent=exponent, drift_step=3, seed=seed
-    )
-
-    all_ram, bitwise_a, ram_service = _run_arm(
-        model, requests, label="all-ram",
-        service_factory=lambda api: InterpretationService(
-            api, cache=RegionCache(max_entries=1_000_000),
-            max_batch_size=8, seed=seed,
-        ),
-    )
-    ram_resident = ram_service.cache.stats().size
-    l1_max_entries = int(np.ceil(ram_resident * TIERED_L1_RESIDENT_FRACTION))
-
-    if l2_dir is None:
-        tmp = tempfile.TemporaryDirectory()
-        base = Path(tmp.name)
-    else:
-        tmp = None
-        base = Path(l2_dir)
-    try:
-        store = TieredRegionStore(
-            base / "drifting",
-            max_entries=l1_max_entries,
-        )
-        if len(store):
-            # A reused --l2-dir resumes the previous run's inventory;
-            # regions served from it are not among *this* run's fresh
-            # solves and would spuriously fail the bitwise audit.
-            store.clear()
-        tiered, bitwise_b, tiered_service = _run_arm(
-            model, requests, label="tiered",
-            service_factory=lambda api: InterpretationService(
-                api, cache=store, max_batch_size=8, seed=seed,
-            ),
-        )
-        store_stats = store.stats()
-        store.close()
-
-        # Churn arm: region turnover against a deliberately tiny L2 byte
-        # budget.  Sized in whole records of this model's geometry so
-        # dead-marking and compaction *must* engage; total segment bytes
-        # are sampled after every chunk and gated against the analytic
-        # bound max_bytes / (1 - compact_ratio) + slack for the records
-        # in flight between budget checks.
-        # 4 live records against a turnover stream that retires far more
-        # regions than that: dead bytes must cross the compact_ratio
-        # trigger (at the 9th distinct region, analytically), so a store
-        # that never compacts fails the gate deterministically.
-        record_bytes = _record_frame_bytes(n_features, model.n_classes)
-        churn_budget = 4 * record_bytes
-        compact_ratio = 0.5
-        churn_requests = min(n_requests, 300 if not tiny else 120)
-        churn_stream = churn_workload(
-            anchors, churn_requests, exponent=exponent, seed=seed
-        )
-        churn_store = TieredRegionStore(
-            base / "churn",
-            max_entries=4,
-            l2_max_bytes=churn_budget,
-            compact_ratio=compact_ratio,
-        )
-        if len(churn_store):
-            churn_store.clear()
-        churn_api = PredictionAPI(model)
-        churn_service = InterpretationService(
-            churn_api, cache=churn_store, max_batch_size=8, seed=seed,
-        )
-        max_total = 0
-        chunk = 16
-        for start in range(0, churn_requests, chunk):
-            churn_service.interpret_many(
-                churn_stream[start:start + chunk]
-            )
-            max_total = max(
-                max_total, churn_store.stats().l2_total_bytes
-            )
-        churn_stats = churn_store.stats()
-        churn_store.close()
-        bytes_bound = int(
-            churn_budget / (1.0 - compact_ratio) + 2 * record_bytes
-        )
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-
-    hit_retention = (
-        tiered.hit_rate / all_ram.hit_rate
-        if all_ram.hit_rate > 0
-        else float("inf")
-    )
-    report = TieredStoreReport(
-        all_ram=all_ram,
-        tiered=tiered,
-        all_ram_service=ram_service.stats().as_dict(),
-        tiered_service=tiered_service.stats().as_dict(),
-        store=store_stats.as_dict(),
-        l1_max_entries=l1_max_entries,
-        l1_resident_fraction=TIERED_L1_RESIDENT_FRACTION,
-        hit_retention=hit_retention,
-        bitwise_consistent=bitwise_a and bitwise_b,
-        churn_requests=churn_requests,
-        churn_l2_max_bytes=churn_budget,
-        churn_compactions=churn_stats.l2_compactions,
-        churn_max_total_bytes=max_total,
-        churn_bytes_bound=bytes_bound,
-        churn_bounded=max_total <= bytes_bound,
-        churn_store=churn_stats.as_dict(),
-    )
-    return report, min_hit_retention
-
-
-def tiered_gate_failures(
-    report: TieredStoreReport, *, min_hit_retention: float
-) -> list[str]:
-    """Every reason ``report`` fails its gates (empty list = pass).
-
-    The single gate definition shared by
-    ``benchmarks/bench_tiered_store.py`` and the CLI ``bench-store``
-    subcommand: bitwise transparency and bounded churn-arm disk growth
-    always (``--tiny`` included), plus the hit-retention threshold at
-    standard scale.
-    """
-    failures = []
-    if not report.bitwise_consistent:
-        failures.append(
-            "a store-served answer was not bitwise equal to a fresh "
-            "certified solve"
-        )
-    if report.hit_retention < min_hit_retention:
-        failures.append(
-            f"tiered store retains {report.hit_retention:.3f} of the "
-            f"all-RAM hit rate at "
-            f"{100 * report.l1_resident_fraction:.0f}% L1 residency "
-            f"(gate {min_hit_retention:.2f})"
-        )
-    if report.churn_compactions < 1:
-        failures.append(
-            "the churn arm never compacted (dead-entry reclamation is "
-            "not engaging)"
-        )
-    if not report.churn_bounded:
-        failures.append(
-            f"churn-arm segment bytes peaked at "
-            f"{report.churn_max_total_bytes} against the "
-            f"{report.churn_bytes_bound}-byte compaction bound "
-            "(disk growth is unbounded)"
-        )
-    return failures
-
-
-@dataclass(frozen=True)
-class IndexScalingRow:
-    """Linear vs indexed membership-scan timing at one inventory size.
-
-    Both caches hold the *same* synthetic regions (shared stacks) and
-    are probed with the same queries; ``identical_winners`` asserts the
-    two scans returned bitwise-equal ``(key, distance)`` winners for
-    every probe.  ``speedup = linear_scan_s / indexed_scan_s``.
-    """
-
-    n_entries: int
-    n_probes: int
-    linear_scan_s: float
-    indexed_scan_s: float
-    speedup: float
-    identical_winners: bool
-    index_hits: int
-    index_fallbacks: int
-
-    def as_dict(self) -> dict:
-        return {
-            "n_entries": self.n_entries,
-            "n_probes": self.n_probes,
-            "linear_scan_s": self.linear_scan_s,
-            "indexed_scan_s": self.indexed_scan_s,
-            "speedup": self.speedup,
-            "identical_winners": self.identical_winners,
-            "index_hits": self.index_hits,
-            "index_fallbacks": self.index_fallbacks,
-        }
-
-
-@dataclass(frozen=True)
-class RegionIndexReport:
-    """The region-index comparison: scan scaling plus a tiered audit.
-
-    The scaling arm times the production :meth:`RegionCache._scan` —
-    index off vs on — over synthetic inventories of growing size;
-    ``growth_ratio`` divides the indexed arm's cost growth (largest
-    size over smallest) by the linear arm's, so a value well below 1
-    is sub-linear lookup scaling.  The tiered arm replays one
-    drifting-Zipf stream through two :class:`TieredRegionStore`
-    services (index off/on) at a deliberately tiny L1 — forcing
-    eviction, demotion and promotion — and requires identical hit/miss
-    counts and bitwise-identical answers.
-    """
-
-    d: int
-    n_pairs: int
-    index_bits: int
-    index_shortlist: int
-    rows: tuple[IndexScalingRow, ...]
-    linear_growth: float
-    indexed_growth: float
-    growth_ratio: float
-    max_scale_speedup: float
-    identical_winners: bool
-    tiered_requests: int
-    tiered_l1_max_entries: int
-    tiered_hit_rate_off: float
-    tiered_hit_rate_on: float
-    tiered_counts_identical: bool
-    tiered_answers_identical: bool
-    tiered_bitwise_consistent: bool
-    tiered_store: dict
-
-    def as_text(self) -> str:
-        lines = [
-            "region sign index: shortlisted vs linear membership scan "
-            f"(d={self.d}, P={self.n_pairs}, {self.index_bits}-bit, "
-            f"shortlist {self.index_shortlist})",
-            "",
-            f"{'entries':>10}  {'probes':>6}  {'linear/scan':>12}  "
-            f"{'indexed/scan':>12}  {'speedup':>8}  identical",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.n_entries:>10}  {row.n_probes:>6}  "
-                f"{1e6 * row.linear_scan_s:>10.0f}us  "
-                f"{1e6 * row.indexed_scan_s:>10.0f}us  "
-                f"{row.speedup:>7.1f}x  {row.identical_winners}"
-            )
-        lines += [
-            "",
-            f"cost growth ({self.rows[0].n_entries} -> "
-            f"{self.rows[-1].n_entries} entries): linear "
-            f"{self.linear_growth:.1f}x, indexed {self.indexed_growth:.1f}x "
-            f"(ratio {self.growth_ratio:.3f})",
-            f"tiered audit ({self.tiered_requests} drifting-Zipf requests, "
-            f"L1 <= {self.tiered_l1_max_entries} entries): hit rate "
-            f"{100 * self.tiered_hit_rate_off:.1f}% off vs "
-            f"{100 * self.tiered_hit_rate_on:.1f}% on, "
-            f"counts identical={self.tiered_counts_identical}, "
-            f"answers identical={self.tiered_answers_identical}, "
-            f"bitwise={self.tiered_bitwise_consistent}",
-            f"L2 index traffic: {self.tiered_store['l2_index_hits']} hits, "
-            f"{self.tiered_store['l2_index_fallbacks']} fallbacks",
-        ]
-        return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        """JSON-safe rendering (the ``BENCH_region_index.json`` CI
-        artifact; key set pinned by the schema test)."""
-        return {
-            "d": self.d,
-            "n_pairs": self.n_pairs,
-            "index_bits": self.index_bits,
-            "index_shortlist": self.index_shortlist,
-            "rows": [row.as_dict() for row in self.rows],
-            "linear_growth": self.linear_growth,
-            "indexed_growth": self.indexed_growth,
-            "growth_ratio": self.growth_ratio,
-            "max_scale_speedup": self.max_scale_speedup,
-            "identical_winners": self.identical_winners,
-            "tiered_requests": self.tiered_requests,
-            "tiered_l1_max_entries": self.tiered_l1_max_entries,
-            "tiered_hit_rate_off": self.tiered_hit_rate_off,
-            "tiered_hit_rate_on": self.tiered_hit_rate_on,
-            "tiered_counts_identical": self.tiered_counts_identical,
-            "tiered_answers_identical": self.tiered_answers_identical,
-            "tiered_bitwise_consistent": self.tiered_bitwise_consistent,
-            "tiered_store": self.tiered_store,
-        }
-
-
-def _time_scans(
-    scan: Callable[[np.ndarray, np.ndarray, int], object],
-    probes: np.ndarray,
-    y: np.ndarray,
-    *,
-    repeats: int = 3,
-) -> float:
-    """Best-of-``repeats`` mean seconds per membership scan."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for x in probes:
-            scan(x, y, 0)
-        best = min(best, (time.perf_counter() - t0) / probes.shape[0])
-    return best
-
-
-def _synthetic_region_inventory(
-    rng: np.random.Generator, m: int, d: int, n_pairs: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``m`` synthetic certified regions with a shared claim target.
-
-    Every region ``i`` gets a random ``(P, d)`` weight stack and an
-    anchor in ``[-1, 1]^d``; intercepts are back-solved so region ``i``
-    passes the membership test *exactly at its own anchor* against one
-    shared log-odds vector ``t`` (error ~1e-15), while any other
-    region's claim there is off by ``W_j @ (anchor_i - anchor_j)`` —
-    O(1) against a 1e-6 tolerance.  Probing entry anchors therefore
-    exercises the hit path with exactly one passing candidate.
-
-    Returns ``(W, B, anchors, y)`` where ``y`` is the probe's class
-    distribution realising ``t``.
-    """
-    W = rng.normal(size=(m, n_pairs, d))
-    anchors = rng.uniform(-1.0, 1.0, size=(m, d))
-    t = rng.normal(scale=0.5, size=n_pairs)
-    B = t - np.einsum("mpd,md->mp", W, anchors)
-    u = np.concatenate(([1.0], np.exp(-t)))
-    y = u / u.sum()
-    return W, B, anchors, y
-
-
-def _bulk_filled_cache(
-    W: np.ndarray,
-    B: np.ndarray,
-    anchors: np.ndarray,
-    *,
-    region_index: bool,
-    index_bits: int,
-    index_shortlist: int,
-) -> RegionCache:
-    """A :class:`RegionCache` whose packed stacks are installed directly.
-
-    ``_scan`` reads only the per-group packed stacks, keys and sign
-    index, so the benchmark installs those wholesale — million-entry
-    inventories in one vectorized pass — while still driving the
-    *production* scan code.  Both arms share the same stack arrays, so
-    any winner disagreement is the index's fault, not the data's.
-    """
-    from repro.serving.cache import _PackedGroup
-    from repro.serving.index import RegionSignIndex
-
-    m, n_pairs, d = W.shape
-    pairs = tuple((0, j + 1) for j in range(n_pairs))
-    cache = RegionCache(
-        max_entries=m,
-        region_index=region_index,
-        index_bits=index_bits,
-        index_shortlist=index_shortlist,
-    )
-    index = RegionSignIndex(d, bits=index_bits) if region_index else None
-    group = _PackedGroup(pairs, d, index=index)
-    group.load(list(range(m)), W, B, anchors)
-    cache._groups[(0, pairs)] = group
-    cache._dim = d
-    cache._min_classes = n_pairs + 1
-    return cache
-
-
-#: Speedup the indexed scan must reach over the linear scan at the
-#: largest benchmark inventory (1M synthetic regions at default scale).
-INDEX_SPEEDUP_THRESHOLD: float = 4.0
-
-#: Sub-linearity gate: the indexed arm's cost growth across the size
-#: sweep may be at most this fraction of the linear arm's growth.
-INDEX_GROWTH_RATIO_THRESHOLD: float = 0.5
-
-
-def run_region_index_benchmark(
-    *,
-    sizes: tuple[int, ...] | None = None,
-    d: int = 8,
-    n_pairs: int = 2,
-    index_bits: int = 16,
-    index_shortlist: int = 64,
-    n_requests: int = 120,
-    n_anchors: int = 16,
-    seed: SeedLike = 0,
-    tiny: bool = False,
-) -> tuple[RegionIndexReport, tuple[float, float]]:
-    """The region-index benchmark (single source of truth for
-    ``benchmarks/bench_region_index.py``).
-
-    Two arms:
-
-    * *Scaling* — synthetic inventories of growing size, the production
-      ``RegionCache._scan`` timed index-off vs index-on over the same
-      probes, every winner compared bitwise.  At default scale the
-      largest inventory is 1M regions.
-    * *Tiered audit* — one drifting-Zipf stream replayed through two
-      tiered stores (index off/on) at a tiny L1, so eviction, demotion
-      and promotion all fire; hit/miss counts and answers must be
-      identical.
-
-    Returns
-    -------
-    (report, (min_speedup, max_growth_ratio)):
-        The report plus the gates the caller should enforce
-        (:data:`INDEX_SPEEDUP_THRESHOLD` /
-        :data:`INDEX_GROWTH_RATIO_THRESHOLD` at standard scale;
-        ``tiny`` gates correctness — identical winners and the tiered
-        audit — only).
-    """
-    if tiny:
-        sizes = sizes or (200, 400)
-        probe_counts = [32] * len(sizes)
-        n_requests = min(n_requests, 60)
-        gates = (0.0, float("inf"))
-        n_features, epochs = 5, 40
-    else:
-        sizes = sizes or (10_000, 100_000, 1_000_000)
-        probe_counts = [max(8, 64 >> (1 * i)) for i in range(len(sizes))]
-        gates = (INDEX_SPEEDUP_THRESHOLD, INDEX_GROWTH_RATIO_THRESHOLD)
-        n_features, epochs = 5, 40
-    rng = as_generator(seed)
-
-    rows = []
-    for m, n_probes in zip(sizes, probe_counts):
-        W, B, anchors, y = _synthetic_region_inventory(rng, m, d, n_pairs)
-        linear = _bulk_filled_cache(
-            W, B, anchors, region_index=False,
-            index_bits=index_bits, index_shortlist=index_shortlist,
-        )
-        indexed = _bulk_filled_cache(
-            W, B, anchors, region_index=True,
-            index_bits=index_bits, index_shortlist=index_shortlist,
-        )
-        probe_rows = rng.choice(m, size=min(n_probes, m), replace=False)
-        probes = anchors[probe_rows]
-        identical = all(
-            linear._scan(x, y, 0) == indexed._scan(x, y, 0) for x in probes
-        )
-        linear._scan(probes[0], y, 0)  # warm-up (stacks are pre-built)
-        indexed._scan(probes[0], y, 0)
-        linear_s = _time_scans(linear._scan, probes, y)
-        indexed_s = _time_scans(indexed._scan, probes, y)
-        rows.append(
-            IndexScalingRow(
-                n_entries=m,
-                n_probes=probes.shape[0],
-                linear_scan_s=linear_s,
-                indexed_scan_s=indexed_s,
-                speedup=linear_s / indexed_s if indexed_s > 0 else float("inf"),
-                identical_winners=identical,
-                index_hits=indexed._index_hits,
-                index_fallbacks=indexed._index_fallbacks,
-            )
-        )
-
-    linear_growth = (
-        rows[-1].linear_scan_s / rows[0].linear_scan_s
-        if rows[0].linear_scan_s > 0 else float("inf")
-    )
-    indexed_growth = (
-        rows[-1].indexed_scan_s / rows[0].indexed_scan_s
-        if rows[0].indexed_scan_s > 0 else float("inf")
-    )
-
-    # Tiered audit: same stream, index off vs on, tiny L1 so regions
-    # churn through evict -> demote -> promote while the answers and
-    # hit/miss counts must stay identical.
-    model, X = _train_bench_model(
-        n_features=n_features, epochs=epochs, seed=seed
-    )
-    stream_anchors = X[:n_anchors]
-    requests = drifting_zipf_workload(
-        stream_anchors, n_requests, exponent=2.2, drift_step=3, seed=seed
-    )
-    l1_max_entries = 4
-    arms = {}
-    with tempfile.TemporaryDirectory() as base:
-        for label, on in (("index-off", False), ("index-on", True)):
-            store = TieredRegionStore(
-                Path(base) / label,
-                max_entries=l1_max_entries,
-                region_index=on,
-                index_bits=index_bits,
-                index_shortlist=index_shortlist,
-            )
-            service = InterpretationService(
-                PredictionAPI(model), cache=store, max_batch_size=8,
-                seed=seed,
-            )
-            responses = service.interpret_many(requests)
-            # Same two-pass bitwise audit as _run_arm: every
-            # store-served answer must be bitwise one of this run's
-            # fresh certified solves.
-            region_solves = {
-                r.interpretation.decision_features.tobytes()
-                for r in responses
-                if r.ok and not r.served_from_cache
-            }
-            bitwise_ok = all(
-                r.interpretation.decision_features.tobytes() in region_solves
-                for r in responses
-                if r.ok and r.served_from_cache
-            )
-            arms[label] = (
-                service.stats(), responses, bitwise_ok, store.stats()
-            )
-            store.close()
-    stats_off, responses_off, bitwise_off, _ = arms["index-off"]
-    stats_on, responses_on, bitwise_on, store_stats_on = arms["index-on"]
-    counts_identical = (
-        stats_off.cache_hits == stats_on.cache_hits
-        and stats_off.n_ok == stats_on.n_ok
-        and stats_off.n_requests == stats_on.n_requests
-    )
-    answers_identical = all(
-        a.ok == b.ok
-        and (
-            not a.ok
-            or a.interpretation.decision_features.tobytes()
-            == b.interpretation.decision_features.tobytes()
-        )
-        for a, b in zip(responses_off, responses_on)
-    )
-
-    report = RegionIndexReport(
-        d=d,
-        n_pairs=n_pairs,
-        index_bits=index_bits,
-        index_shortlist=index_shortlist,
-        rows=tuple(rows),
-        linear_growth=linear_growth,
-        indexed_growth=indexed_growth,
-        growth_ratio=(
-            indexed_growth / linear_growth
-            if linear_growth > 0 else float("inf")
-        ),
-        max_scale_speedup=rows[-1].speedup,
-        identical_winners=all(row.identical_winners for row in rows),
-        tiered_requests=int(requests.shape[0]),
-        tiered_l1_max_entries=l1_max_entries,
-        tiered_hit_rate_off=stats_off.hit_rate,
-        tiered_hit_rate_on=stats_on.hit_rate,
-        tiered_counts_identical=counts_identical,
-        tiered_answers_identical=bool(answers_identical),
-        tiered_bitwise_consistent=bitwise_off and bitwise_on,
-        tiered_store=store_stats_on.as_dict(),
-    )
-    return report, gates
-
-
-def region_index_gate_failures(
-    report: RegionIndexReport,
-    *,
-    min_speedup: float,
-    max_growth_ratio: float,
-) -> list[str]:
-    """Every reason ``report`` fails its gates (empty list = pass).
-
-    The single gate definition shared by
-    ``benchmarks/bench_region_index.py`` and CI: identical winners and
-    the tiered audit always (``--tiny`` included); the speedup and
-    sub-linearity thresholds at standard scale.
-    """
-    failures = []
-    if not report.identical_winners:
-        failures.append(
-            "the indexed scan returned a different (key, distance) "
-            "winner than the linear scan"
-        )
-    if not report.tiered_counts_identical:
-        failures.append(
-            "the tiered replay produced different hit/miss counts with "
-            "the index on vs off"
-        )
-    if not report.tiered_answers_identical:
-        failures.append(
-            "a tiered-replay answer differed bitwise between the "
-            "index-on and index-off arms"
-        )
-    if not report.tiered_bitwise_consistent:
-        failures.append(
-            "a store-served answer was not bitwise equal to a fresh "
-            "certified solve"
-        )
-    if report.max_scale_speedup < min_speedup:
-        failures.append(
-            f"indexed scan is {report.max_scale_speedup:.1f}x faster "
-            f"than linear at {report.rows[-1].n_entries} entries "
-            f"(gate {min_speedup:.1f}x)"
-        )
-    if report.growth_ratio > max_growth_ratio:
-        failures.append(
-            f"indexed cost growth is {report.growth_ratio:.3f} of "
-            f"linear growth across the size sweep "
-            f"(gate {max_growth_ratio:.2f} — not sub-linear)"
-        )
-    return failures
-
-
-# --------------------------------------------------------------------- #
-# Multi-process gateway benchmark
-# --------------------------------------------------------------------- #
-
-#: Cap on the fleet-scaling gate: 4 workers must serve the drifting-Zipf
-#: replay at >= this multiple of 1 worker's throughput at full scale.
-#: The *effective* gate is core-relative — ``min(2.0, 0.5 * min(4,
-#: cpu_count))`` — and is skipped entirely below 2 cores or at ``--tiny``
-#: scale (where per-request cost is too small for process parallelism to
-#: beat the IPC overhead); the bitwise-identity gate always runs.
-GATEWAY_SPEEDUP_THRESHOLD: float = 2.0
-
-
-@dataclass(frozen=True)
-class GatewayBenchArm:
-    """One replayed arm of the gateway benchmark.
-
-    ``n_workers == 0`` denotes the in-process reference arm (a
-    sequential single-process :class:`InterpretationService`), whose
-    payloads define bitwise identity for every fleet arm.
-
-    ``p50_ms``/``p95_ms`` are admitted-request latency percentiles:
-    exact values for the reference arm (measured per request), the
-    containing histogram bucket's upper bound for fleet arms (from
-    ``GatewayStats``; ``None`` when the percentile overflows the
-    histogram).  ``n_shed``/``n_worker_lost``/``n_restarts`` mirror the
-    gateway counters of the same names — all zero except on the
-    overload and rolling-restart arms that provoke them.
-    """
-
-    label: str
-    n_workers: int
-    n_requests: int
-    n_ok: int
-    elapsed_s: float
-    requests_per_s: float
-    bitwise_identical: bool
-    n_mismatches: int
-    hit_rate: float
-    harvested: int
-    l2_records: int
-    writer_epoch: int
-    max_epoch_lag: int
-    p50_ms: float | None
-    p95_ms: float | None
-    n_shed: int
-    n_worker_lost: int
-    n_restarts: int
-
-    def as_dict(self) -> dict:
-        """JSON-safe rendering (key set pinned by the schema test)."""
-        return {
-            "label": self.label,
-            "n_workers": self.n_workers,
-            "n_requests": self.n_requests,
-            "n_ok": self.n_ok,
-            "elapsed_s": self.elapsed_s,
-            "requests_per_s": self.requests_per_s,
-            "bitwise_identical": self.bitwise_identical,
-            "n_mismatches": self.n_mismatches,
-            "hit_rate": self.hit_rate,
-            "harvested": self.harvested,
-            "l2_records": self.l2_records,
-            "writer_epoch": self.writer_epoch,
-            "max_epoch_lag": self.max_epoch_lag,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "n_shed": self.n_shed,
-            "n_worker_lost": self.n_worker_lost,
-            "n_restarts": self.n_restarts,
-        }
-
-
-@dataclass(frozen=True)
-class GatewayBenchReport:
-    """Single-process reference vs gateway fleets on one replay.
-
-    ``speedup`` is the widest fleet's throughput over the 1-worker
-    fleet's — the process-scaling factor the full-scale gate checks.
-    Identity is absolute: every arm (any worker count, index on or
-    off) must return byte-identical ``result`` payloads to the
-    reference, request by request.
-    """
-
-    dataset: str
-    n_requests: int
-    n_anchors: int
-    cpu_count: int
-    tiny: bool
-    reference: GatewayBenchArm
-    arms: tuple[GatewayBenchArm, ...]
-    overload: GatewayBenchArm
-    rolling_restart: GatewayBenchArm
-    queue_capacity: int
-    overload_concurrency: int
-    p95_bound_ms: float
-    speedup: float
-
-    def as_dict(self) -> dict:
-        """JSON-safe rendering (key set pinned by the schema test)."""
-        return {
-            "dataset": self.dataset,
-            "n_requests": self.n_requests,
-            "n_anchors": self.n_anchors,
-            "cpu_count": self.cpu_count,
-            "tiny": self.tiny,
-            "reference": self.reference.as_dict(),
-            "arms": [arm.as_dict() for arm in self.arms],
-            "overload": self.overload.as_dict(),
-            "rolling_restart": self.rolling_restart.as_dict(),
-            "queue_capacity": self.queue_capacity,
-            "overload_concurrency": self.overload_concurrency,
-            "p95_bound_ms": self.p95_bound_ms,
-            "speedup": self.speedup,
-        }
-
-    def as_text(self) -> str:
-        lines = [
-            "multi-process gateway: worker-fleet scaling and bitwise "
-            "identity (drifting-Zipf workload)",
-            "",
-            f"{'arm':<22} {'workers':>7} {'req/s':>8} {'hit rate':>8} "
-            f"{'epoch lag':>9} {'bitwise':>8}",
-        ]
-        for arm in (
-            self.reference, *self.arms, self.overload,
-            self.rolling_restart,
-        ):
-            lines.append(
-                f"{arm.label:<22} {arm.n_workers:>7} "
-                f"{arm.requests_per_s:>8.1f} {100 * arm.hit_rate:>7.1f}% "
-                f"{arm.max_epoch_lag:>9} "
-                f"{'yes' if arm.bitwise_identical else 'NO':>8}"
-            )
-        lines.append("")
-        lines.append(
-            f"{self.n_requests} requests over {self.n_anchors} "
-            f"region-distinct anchors on {self.dataset} "
-            f"({self.cpu_count} cores); widest fleet speedup vs 1 "
-            f"worker: {self.speedup:.1f}x"
-        )
-        p95 = (
-            "n/a" if self.overload.p95_ms is None
-            else f"{self.overload.p95_ms:g}ms"
-        )
-        lines.append(
-            f"overload ({self.overload_concurrency} clients over "
-            f"capacity {self.queue_capacity}): {self.overload.n_shed} "
-            f"shed, admitted p95 {p95} (bound "
-            f"{self.p95_bound_ms:.0f}ms)"
-        )
-        lines.append(
-            f"rolling restart mid-replay: "
-            f"{self.rolling_restart.n_restarts} worker(s) replaced, "
-            f"{self.rolling_restart.n_requests - self.rolling_restart.n_ok}"
-            f" request(s) lost"
-        )
-        return "\n".join(lines)
-
-
-def run_gateway_benchmark(
-    *,
-    n_requests: int = 240,
-    n_anchors: int = 24,
-    seed: int = 0,
-    tiny: bool = False,
-    concurrency: int = 8,
-    worker_counts: tuple[int, ...] = (1, 4),
-) -> tuple[GatewayBenchReport, float]:
-    """Replay one drifting-Zipf stream through the reference and the
-    fleet arms; returns ``(report, min_speedup)`` with ``min_speedup``
-    already resolved for this machine (0.0 when the scaling gate does
-    not apply — tiny scale or a single-core machine)."""
-    import json as _json
-
-    from repro.serving.gateway import (
-        Gateway,
-        GatewayClient,
-        replay_workload,
-    )
-    from repro.serving.worker import (
-        distinct_region_anchors,
-        interpretation_payload,
-        train_worker_model,
-    )
-
-    if tiny:
-        model_kwargs = dict(
-            dataset="blobs", train_size=120, epochs=25, hidden=(8,)
-        )
-        n_requests = min(n_requests, 48)
-        n_anchors = min(n_anchors, 10)
-    else:
-        model_kwargs = dict(
-            dataset="credit-scoring", train_size=800, epochs=120,
-            hidden=(32, 16),
-        )
-
-    _data, test, model = train_worker_model(
-        model_kwargs["dataset"], seed,
-        train_size=model_kwargs["train_size"],
-        epochs=model_kwargs["epochs"], hidden=model_kwargs["hidden"],
-    )
-    api = PredictionAPI(model)
-    anchors = distinct_region_anchors(
-        api, test.X[: 2 * n_anchors], seed=seed, limit=n_anchors
-    )
-    requests = drifting_zipf_workload(anchors, n_requests, seed=seed)
-
-    # Reference: the sequential single-process service.  Its payloads
-    # are canonical — per-instance seeding makes each one a pure
-    # function of (seed, x0) — so every fleet response must match them.
-    service = InterpretationService(
-        PredictionAPI(model), seed=seed, per_instance_seed=True
-    )
-    reference_payloads = []
-    latencies_s: list[float] = []
-    start = time.perf_counter()
-    with service:
-        for x0 in requests:
-            t0 = time.perf_counter()
-            response = service.interpret(x0)
-            latencies_s.append(time.perf_counter() - t0)
-            reference_payloads.append(
-                _json.dumps(
-                    interpretation_payload(response.interpretation),
-                    sort_keys=True,
-                )
-                if response.ok
-                else None
-            )
-    ref_elapsed = time.perf_counter() - start
-    ref_stats = service.stats()
-    n_ref_ok = sum(1 for p in reference_payloads if p is not None)
-    ordered = sorted(latencies_s)
-
-    def _percentile_ms(q: float) -> float:
-        rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
-        return 1e3 * ordered[rank]
-
-    reference = GatewayBenchArm(
-        label="single-process",
-        n_workers=0,
-        n_requests=len(requests),
-        n_ok=n_ref_ok,
-        elapsed_s=ref_elapsed,
-        requests_per_s=len(requests) / max(ref_elapsed, 1e-9),
-        bitwise_identical=True,
-        n_mismatches=0,
-        hit_rate=ref_stats.hit_rate,
-        harvested=0,
-        l2_records=0,
-        writer_epoch=0,
-        max_epoch_lag=0,
-        p50_ms=_percentile_ms(0.50),
-        p95_ms=_percentile_ms(0.95),
-        n_shed=0,
-        n_worker_lost=0,
-        n_restarts=0,
-    )
-
-    def _score_arm(
-        label: str, n_workers: int, responses: list, elapsed: float,
-        stats,
-    ) -> GatewayBenchArm:
-        """Audit one fleet replay against the reference payloads.
-
-        Bitwise mismatches count only over served answers — a shed
-        (429 ``overloaded``) response is not an answer and is gated
-        separately via ``n_ok + n_shed == n_requests``.
-        """
-        mismatches = 0
-        n_ok = 0
-        for response, expected in zip(responses, reference_payloads):
-            if response.get("ok"):
-                n_ok += 1
-                got = _json.dumps(response["result"], sort_keys=True)
-                if got != expected:
-                    mismatches += 1
-            elif response.get("error", {}).get("code") == "overloaded":
-                continue
-            elif expected is not None:
-                mismatches += 1
-        return GatewayBenchArm(
-            label=label,
-            n_workers=n_workers,
-            n_requests=len(requests),
-            n_ok=n_ok,
-            elapsed_s=elapsed,
-            requests_per_s=len(requests) / max(elapsed, 1e-9),
-            bitwise_identical=mismatches == 0,
-            n_mismatches=mismatches,
-            hit_rate=stats.hit_rate,
-            harvested=stats.harvested,
-            l2_records=stats.l2_records,
-            writer_epoch=stats.writer_epoch,
-            max_epoch_lag=stats.max_epoch_lag,
-            p50_ms=stats.latency_p50_ms,
-            p95_ms=stats.latency_p95_ms,
-            n_shed=stats.n_shed,
-            n_worker_lost=stats.n_worker_lost,
-            n_restarts=stats.n_restarts,
-        )
-
-    arms = []
-    for n_workers in worker_counts:
-        with tempfile.TemporaryDirectory() as tmp:
-            gateway = Gateway(
-                n_workers=n_workers,
-                l2_dir=Path(tmp) / "l2",
-                seed=seed,
-                **model_kwargs,
-            )
-            gateway.start()
-            try:
-                responses, elapsed = replay_workload(
-                    gateway.host, gateway.port, requests,
-                    concurrency=concurrency,
-                )
-                stats = gateway.stats()
-            finally:
-                gateway.stop()
-        arms.append(_score_arm(
-            f"gateway x{n_workers}", n_workers, responses, elapsed, stats,
-        ))
-
-    by_workers = {arm.n_workers: arm for arm in arms}
-    widest = max(by_workers)
-    narrowest = min(by_workers)
-
-    # Overload arm: a client pool at 2x the admission capacity hammers
-    # a small fleet behind a small queue.  The p95 bound on *admitted*
-    # requests is analytic, not absolute: an admitted request waits
-    # behind at most queue_capacity peers spread over the fleet, so
-    # bounded admission caps its latency at roughly
-    # (capacity / workers + 1) service times — we allow 8x that (cache
-    # hit/miss variance, CI jitter) with a 250ms floor.  Collapse (the
-    # unbounded-task pileup this PR removes) blows through any such
-    # bound.
-    overload_workers = min(2, widest)
-    overload_capacity = max(4, 2 * overload_workers)
-    overload_concurrency = 2 * overload_capacity
-    service_ms = 1e3 * by_workers[narrowest].elapsed_s / len(requests)
-    p95_bound_ms = max(
-        250.0,
-        8.0 * (overload_capacity / overload_workers + 1.0) * service_ms,
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        gateway = Gateway(
-            n_workers=overload_workers,
-            l2_dir=Path(tmp) / "l2",
-            seed=seed,
-            queue_capacity=overload_capacity,
-            **model_kwargs,
-        )
-        gateway.start()
-        try:
-            responses, elapsed = replay_workload(
-                gateway.host, gateway.port, requests,
-                concurrency=overload_concurrency,
-            )
-            stats = gateway.stats()
-        finally:
-            gateway.stop()
-    overload = _score_arm(
-        "gateway overload 2x", overload_workers, responses, elapsed,
-        stats,
-    )
-
-    # Rolling-restart arm: POST /admin/restart fires from a side
-    # thread while the replay is in flight; every worker process must
-    # be replaced without losing (or altering) a single request.
-    with tempfile.TemporaryDirectory() as tmp:
-        gateway = Gateway(
-            n_workers=overload_workers,
-            l2_dir=Path(tmp) / "l2",
-            seed=seed,
-            **model_kwargs,
-        )
-        gateway.start()
-        try:
-            summary: dict = {}
-
-            def _trigger_restart():
-                client = GatewayClient(
-                    gateway.host, gateway.port, timeout=600.0
-                )
-                try:
-                    _status, body = client.rolling_restart()
-                    summary.update(body)
-                finally:
-                    client.close()
-
-            trigger = threading.Thread(
-                target=_trigger_restart, name="rolling-restart"
-            )
-            trigger.start()
-            responses, elapsed = replay_workload(
-                gateway.host, gateway.port, requests,
-                concurrency=concurrency,
-            )
-            trigger.join(timeout=600)
-            stats = gateway.stats()
-        finally:
-            gateway.stop()
-    rolling = _score_arm(
-        "gateway rolling-restart", overload_workers, responses, elapsed,
-        stats,
-    )
-
-    speedup = (
-        by_workers[widest].requests_per_s
-        / max(by_workers[narrowest].requests_per_s, 1e-9)
-        if len(by_workers) > 1
-        else float("nan")
-    )
-    cores = os.cpu_count() or 1
-    report = GatewayBenchReport(
-        dataset=model_kwargs["dataset"],
-        n_requests=len(requests),
-        n_anchors=anchors.shape[0],
-        cpu_count=cores,
-        tiny=bool(tiny),
-        reference=reference,
-        arms=tuple(arms),
-        overload=overload,
-        rolling_restart=rolling,
-        queue_capacity=overload_capacity,
-        overload_concurrency=overload_concurrency,
-        p95_bound_ms=p95_bound_ms,
-        speedup=speedup,
-    )
-    min_speedup = (
-        0.0
-        if tiny or cores < 2 or len(by_workers) < 2
-        else min(GATEWAY_SPEEDUP_THRESHOLD, 0.5 * min(widest, cores))
-    )
-    return report, min_speedup
-
-
-def gateway_gate_failures(
-    report: GatewayBenchReport, *, min_speedup: float = 0.0
-) -> list[str]:
-    """Every way the gateway benchmark can fail its gates.
-
-    Bitwise identity on admitted answers gates every arm — scaling,
-    overload, rolling restart — at every scale, ``--tiny`` included.
-    The overload arm's load-shedding gates (some shedding happened;
-    admitted p95 within the analytic bound) apply at full scale only:
-    at tiny scale per-request cost is too small and too jittery for
-    either to be deterministic.  The rolling restart's zero-loss gate
-    is absolute.
-    """
-    failures = []
-    for arm in (*report.arms, report.overload, report.rolling_restart):
-        if not arm.bitwise_identical:
-            failures.append(
-                f"{arm.label}: {arm.n_mismatches} response payload(s) "
-                "differ bitwise from the single-process reference"
-            )
-    for arm in report.arms:
-        if arm.n_ok != arm.n_requests:
-            failures.append(
-                f"{arm.label}: {arm.n_requests - arm.n_ok} request(s) "
-                "did not serve ok"
-            )
-    overload = report.overload
-    if overload.n_ok + overload.n_shed != overload.n_requests:
-        failures.append(
-            f"{overload.label}: "
-            f"{overload.n_requests - overload.n_ok - overload.n_shed} "
-            "response(s) were neither a correct 200 nor a structured 429"
-        )
-    if not report.tiny:
-        if overload.n_shed == 0:
-            failures.append(
-                f"{overload.label}: no load shedding under "
-                f"{report.overload_concurrency} clients against "
-                f"capacity {report.queue_capacity}"
-            )
-        if (overload.p95_ms is None
-                or overload.p95_ms > report.p95_bound_ms):
-            p95 = (
-                "overflow" if overload.p95_ms is None
-                else f"{overload.p95_ms:g}ms"
-            )
-            failures.append(
-                f"{overload.label}: admitted p95 {p95} exceeds the "
-                f"bounded-admission bound {report.p95_bound_ms:.0f}ms "
-                "(collapse under overload)"
-            )
-    rolling = report.rolling_restart
-    if rolling.n_ok != rolling.n_requests:
-        failures.append(
-            f"{rolling.label}: "
-            f"{rolling.n_requests - rolling.n_ok} request(s) lost "
-            "during the rolling restart"
-        )
-    if rolling.n_restarts < 1:
-        failures.append(
-            f"{rolling.label}: the rolling restart replaced no worker"
-        )
-    if min_speedup > 0.0 and not report.speedup >= min_speedup:
-        failures.append(
-            f"widest fleet serves {report.speedup:.1f}x the 1-worker "
-            f"throughput (gate {min_speedup:.1f}x on "
-            f"{report.cpu_count} cores)"
-        )
-    return failures

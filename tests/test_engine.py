@@ -27,7 +27,7 @@ from repro.core import (
     solve_all_pairs,
     solve_pair_systems_stacked,
 )
-from repro.core.engine import _bench_problem, solve_stack
+from repro.core.engine import solve_stack
 from repro.core.sampling import simplex_directions
 from repro.exceptions import ValidationError
 from repro.serving import RegionCache, TieredRegionStore
@@ -422,7 +422,9 @@ class TestFloat32UpcastEquivalence:
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_engine_entry(self, seed):
-        points, probs, classes, centers = _bench_problem(3, 6, 4, 3, seed)
+        points, probs, classes, centers = _random_problem(
+            np.random.default_rng(seed), 3, 6, 4, 3, noise=1e-10
+        )
         p32 = points.astype(np.float32)
         q32 = probs.astype(np.float32)
         c32 = centers.astype(np.float32)

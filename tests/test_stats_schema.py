@@ -12,6 +12,11 @@ cannot drift apart again:
 3. the rendered JSON is valid JSON (no NaN/Infinity literals);
 4. every ``BENCH_*.json`` artifact schema catalogued in
    ``docs/benchmarks.md`` names exactly the keys its report emits.
+
+The benchmark report dataclasses live in the ``benchmarks/`` scripts,
+which are not an installed package; :func:`load_benchmark_module`
+imports them by path.  The same loader drives each script's ``main`` to
+pin that bad sizes exit 2 before any model trains.
 """
 
 from __future__ import annotations
@@ -25,26 +30,56 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.core.engine import EngineBenchReport, EngineBenchRow
 from repro.serving import (
     CacheStats,
-    GatewayBenchArm,
-    GatewayBenchReport,
     GatewayStats,
-    IndexScalingRow,
     RegionCache,
-    RegionIndexReport,
     ServiceMetrics,
     ServiceStats,
-    ThroughputArm,
-    ThroughputReport,
-    TieredStoreReport,
     TieredStoreStats,
 )
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs" / "serving.md"
 BENCH_DOCS = REPO / "docs" / "benchmarks.md"
+BENCH_DIR = REPO / "benchmarks"
+
+
+def load_benchmark_module(name: str):
+    """Import ``benchmarks/<name>.py`` by path, once per session.
+
+    The scripts import their shared ``serving_common`` helpers by plain
+    module name, as they do when run directly, so the directory joins
+    the end of ``sys.path``.  The module is registered before it runs:
+    ``dataclasses.fields`` resolves string annotations through
+    ``sys.modules[cls.__module__]``.
+    """
+    if name not in sys.modules:
+        if str(BENCH_DIR) not in sys.path:
+            sys.path.append(str(BENCH_DIR))
+        spec = importlib.util.spec_from_file_location(
+            name, BENCH_DIR / f"{name}.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def serving_bench():
+    return load_benchmark_module("bench_serving_throughput")
+
+
+def tiered_bench():
+    return load_benchmark_module("bench_tiered_store")
+
+
+def index_bench():
+    return load_benchmark_module("bench_region_index")
+
+
+def engine_bench():
+    return load_benchmark_module("bench_solve_engine")
 
 
 def field_names(cls) -> set[str]:
@@ -69,8 +104,8 @@ def sample_broker_stats():
     )
 
 
-def sample_arm() -> ThroughputArm:
-    return ThroughputArm(
+def sample_arm():
+    return load_benchmark_module("serving_common").ThroughputArm(
         label="cached", n_requests=4, n_ok=4, elapsed_s=0.1,
         interpretations_per_s=40.0, n_queries=9, round_trips=3,
         hit_rate=0.5, hit_trajectory=(0.0, 0.5), max_gt_l1_error=1e-9,
@@ -87,18 +122,17 @@ def sample_tiered_stats() -> TieredStoreStats:
     )
 
 
-def sample_throughput_report() -> ThroughputReport:
+def sample_throughput_report():
     arm = sample_arm()
-    return ThroughputReport(
+    return serving_bench().ThroughputReport(
         cached=arm, uncached=arm, speedup=2.0, query_reduction=3.0,
-        cache_bitwise_consistent=True, engine_row=None,
-        baseline_speedup=4.0,
+        cache_bitwise_consistent=True, baseline_speedup=4.0,
     )
 
 
-def sample_tiered_report() -> TieredStoreReport:
+def sample_tiered_report():
     arm = sample_arm()
-    return TieredStoreReport(
+    return tiered_bench().TieredStoreReport(
         all_ram=arm, tiered=arm,
         all_ram_service=sample_service_stats().as_dict(),
         tiered_service=sample_service_stats().as_dict(),
@@ -111,17 +145,17 @@ def sample_tiered_report() -> TieredStoreReport:
     )
 
 
-def sample_index_row() -> IndexScalingRow:
-    return IndexScalingRow(
+def sample_index_row():
+    return index_bench().IndexScalingRow(
         n_entries=1000, n_probes=16, linear_scan_s=1e-3,
         indexed_scan_s=1e-4, speedup=10.0, identical_winners=True,
         index_hits=16, index_fallbacks=0,
     )
 
 
-def sample_region_index_report() -> RegionIndexReport:
+def sample_region_index_report():
     row = sample_index_row()
-    return RegionIndexReport(
+    return index_bench().RegionIndexReport(
         d=8, n_pairs=2, index_bits=16, index_shortlist=64,
         rows=(row, row), linear_growth=10.0, indexed_growth=1.5,
         growth_ratio=0.15, max_scale_speedup=10.0,
@@ -162,46 +196,17 @@ def sample_l2_reader_stats() -> dict:
     return stats
 
 
-def sample_gateway_arm() -> GatewayBenchArm:
-    return GatewayBenchArm(
-        label="gateway x4", n_workers=4, n_requests=48, n_ok=48,
-        elapsed_s=0.5, requests_per_s=96.0, bitwise_identical=True,
-        n_mismatches=0, hit_rate=0.8, harvested=10, l2_records=10,
-        writer_epoch=2, max_epoch_lag=1, p50_ms=4.0, p95_ms=20.0,
-        n_shed=0, n_worker_lost=0, n_restarts=0,
-    )
-
-
-def sample_gateway_report() -> GatewayBenchReport:
-    arm = sample_gateway_arm()
-    return GatewayBenchReport(
-        dataset="blobs", n_requests=48, n_anchors=10, cpu_count=4,
-        tiny=True, reference=arm, arms=(arm,), overload=arm,
-        rolling_restart=arm, queue_capacity=4, overload_concurrency=8,
-        p95_bound_ms=250.0, speedup=2.0,
-    )
-
-
-def sample_engine_report() -> EngineBenchReport:
-    row = EngineBenchRow(
+def sample_engine_report():
+    module = engine_bench()
+    row = module.EngineBenchRow(
         n_instances=4, n_points=8, d=4, C=3, engine_solves_per_s=100.0,
         reference_solves_per_s=25.0, speedup=4.0, max_weight_diff=1e-12,
     )
-    return EngineBenchReport(rows=(row,))
+    return module.EngineBenchReport(rows=(row,))
 
 
 def sample_transport_report():
-    """The bench_transport report, loaded from the benchmark script (it
-    is not an installed module)."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_transport", REPO / "benchmarks" / "bench_transport.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    # Register before exec: dataclasses.fields resolves the class's
-    # string annotations through sys.modules[cls.__module__].
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    cls = module.TransportBenchReport
+    cls = load_benchmark_module("bench_transport").TransportBenchReport
     kwargs = {f.name: 0 for f in fields(cls)}
     kwargs["broker_stats"] = sample_broker_stats().as_dict()
     return cls(**kwargs)
@@ -217,41 +222,24 @@ class TestAsDictMatchesFields:
         assert set(payload) == field_names(ServiceStats)
 
     def test_throughput_arm(self):
-        payload = sample_arm().as_dict()
-        assert set(payload) == field_names(ThroughputArm)
+        arm = sample_arm()
+        assert set(arm.as_dict()) == field_names(type(arm))
 
     def test_gateway_stats(self):
         payload = sample_gateway_stats().as_dict()
         assert set(payload) == field_names(GatewayStats)
 
-    def test_gateway_bench_arm(self):
-        payload = sample_gateway_arm().as_dict()
-        assert set(payload) == field_names(GatewayBenchArm)
-
-    def test_gateway_bench_report(self):
-        payload = sample_gateway_report().as_dict()
-        assert set(payload) == field_names(GatewayBenchReport)
-        assert set(payload["reference"]) == field_names(GatewayBenchArm)
-
     def test_throughput_report(self):
-        arm = sample_arm()
-        report = ThroughputReport(
-            cached=arm, uncached=arm, speedup=2.0, query_reduction=3.0,
-            cache_bitwise_consistent=True, engine_row=None,
-            baseline_speedup=4.0,
-        )
+        report = sample_throughput_report()
         payload = report.as_dict()
-        assert set(payload) == {
-            "cached", "uncached", "speedup", "query_reduction",
-            "cache_bitwise_consistent", "baseline_speedup", "engine",
-        }
+        assert set(payload) == field_names(type(report))
         json.dumps(payload)
 
     def test_throughput_report_default_baseline_is_json_safe(self):
         arm = sample_arm()
-        report = ThroughputReport(
+        report = serving_bench().ThroughputReport(
             cached=arm, uncached=arm, speedup=2.0, query_reduction=3.0,
-            cache_bitwise_consistent=True, engine_row=None,
+            cache_bitwise_consistent=True,
         )
         payload = report.as_dict()
         assert payload["baseline_speedup"] is None
@@ -267,13 +255,13 @@ class TestAsDictMatchesFields:
         json.dumps(payload, allow_nan=False)
 
     def test_index_scaling_row(self):
-        assert set(sample_index_row().as_dict()) == field_names(
-            IndexScalingRow
-        )
+        row = sample_index_row()
+        assert set(row.as_dict()) == field_names(type(row))
 
     def test_region_index_report(self):
-        payload = sample_region_index_report().as_dict()
-        assert set(payload) == field_names(RegionIndexReport)
+        report = sample_region_index_report()
+        payload = report.as_dict()
+        assert set(payload) == field_names(type(report))
         json.dumps(payload, allow_nan=False)
 
     def test_tiered_store_stats(self):
@@ -282,8 +270,16 @@ class TestAsDictMatchesFields:
         json.dumps(payload, allow_nan=False)
 
     def test_tiered_store_report(self):
-        payload = sample_tiered_report().as_dict()
-        assert set(payload) == field_names(TieredStoreReport)
+        report = sample_tiered_report()
+        payload = report.as_dict()
+        assert set(payload) == field_names(type(report))
+        json.dumps(payload, allow_nan=False)
+
+    def test_engine_report(self):
+        report = sample_engine_report()
+        payload = report.as_dict()
+        assert set(payload) == field_names(type(report))
+        assert set(payload["rows"][0]) == field_names(type(report.rows[0]))
         json.dumps(payload, allow_nan=False)
 
 
@@ -387,11 +383,10 @@ class TestBenchmarkCatalogSchemas:
             ("BENCH_transport.json", sample_transport_report),
             ("BENCH_solve_engine.json", sample_engine_report),
             ("BENCH_region_index.json", sample_region_index_report),
-            ("BENCH_gateway.json", sample_gateway_report),
         ],
         ids=[
             "serving", "tiered-store", "transport", "engine",
-            "region-index", "gateway",
+            "region-index",
         ],
     )
     def test_artifact_keys_catalogued(
@@ -402,10 +397,6 @@ class TestBenchmarkCatalogSchemas:
         keys = set(payload)
         if payload.get("rows"):  # per-row schemas nest under "rows"
             keys |= set(payload["rows"][0])
-        # Gateway arms nest under their own keys; pin their schemas too.
-        for nested in ("reference", "overload", "rolling_restart"):
-            if isinstance(payload.get(nested), dict):
-                keys |= set(payload[nested])
         missing = [key for key in keys if f"`{key}`" not in section]
         assert not missing, (
             f"{artifact}: keys missing from its docs/benchmarks.md "
@@ -420,3 +411,31 @@ class TestBenchmarkCatalogSchemas:
         assert not missing, (
             f"benchmark scripts missing from docs/benchmarks.md: {missing}"
         )
+
+
+class TestBenchScriptSizes:
+    """Each script's ``main`` refuses a size below 1 with exit 2 before
+    any model trains or any timing loop runs."""
+
+    @pytest.mark.parametrize(
+        "script, argv",
+        [
+            ("bench_serving_throughput", ["--tiny", "--requests", "0"]),
+            ("bench_serving_throughput", ["--tiny", "--clusters", "0"]),
+            ("bench_tiered_store", ["--tiny", "--requests", "0"]),
+            ("bench_tiered_store", ["--tiny", "--anchors", "0"]),
+            ("bench_region_index", ["--tiny", "--requests", "0"]),
+            ("bench_region_index", ["--tiny", "--index-bits", "0"]),
+            ("bench_solve_engine", ["--tiny", "--repeats", "0"]),
+        ],
+    )
+    def test_bad_size_exits_2(self, script, argv, monkeypatch, capsys):
+        module = load_benchmark_module(script)
+
+        def _refuse(*_args, **_kwargs):
+            raise AssertionError(f"{script} ran before validating {argv}")
+
+        for runner in ("train_bench_model", "run_engine_benchmark"):
+            monkeypatch.setattr(module, runner, _refuse, raising=False)
+        assert module.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -130,6 +130,11 @@ class TestCLI:
         assert args.command == "interpret"
         args = parser.parse_args(["list"])
         assert args.command == "list"
+        # The benchmark runners live in benchmarks/, not the CLI.
+        for removed in ("bench-serve", "bench-store", "bench-engine"):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([removed, "--tiny"])
+            assert excinfo.value.code == 2
 
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
